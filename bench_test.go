@@ -717,3 +717,29 @@ func BenchmarkMutateQuery(b *testing.B) {
 	b.ReportMetric(float64(st.Mutations.InvalidatedSources)/float64(b.N), "invalidated/op")
 	b.ReportMetric(float64(b.N*len(queries))/b.Elapsed().Seconds(), "qps")
 }
+
+// BenchmarkBounds times ReliabilityBounds alone, on the two graphs the
+// routed relbench workloads run on and the same h=2 pairs the paper's
+// workload draws: the planner's inner loop without a server around it.
+func BenchmarkBounds(b *testing.B) {
+	for _, name := range []string{"NetHept", "DBLP_0.2"} {
+		b.Run(name, func(b *testing.B) {
+			g, err := Dataset(name, 1, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pairs, err := QueryPairs(g, 256, 2, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if _, _, err := ReliabilityBounds(g, p.S, p.T); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -662,7 +662,7 @@ func (s *server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		"upper":           hi,
 		"bestPath":        path.Nodes,
 		"bestPathProb":    path.Prob,
-		"samplingAdvised": hi-lo > 0.05,
+		"samplingAdvised": hi-lo > s.engine.Stats().BoundsCutoff, // the router's own rule
 	})
 }
 

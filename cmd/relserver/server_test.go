@@ -259,6 +259,60 @@ func TestBoundsEndpoint(t *testing.T) {
 	}
 }
 
+// TestBoundsEndpointAdvisesAsRouterDecides: samplingAdvised is false
+// exactly for the pairs a routed /v1/query answers from the bounds alone,
+// at the default cutoff and at a configured one.
+func TestBoundsEndpointAdvisesAsRouterDecides(t *testing.T) {
+	g, err := relcomp.Dataset("lastFM", 0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cutoff := range []float64{0, 0.3} {
+		h := newServerWith(g, relcomp.EngineConfig{Seed: 42, MaxK: 500, CacheSize: 4096, BoundsCutoff: cutoff}).handler()
+		_, stats := get(t, h, "/v1/engine/stats")
+		resolved := stats["boundsCutoff"].(float64)
+		if cutoff > 0 && resolved != cutoff || resolved <= 0 {
+			t.Fatalf("configured cutoff %v, stats report %v", cutoff, resolved)
+		}
+		var advised, pinched, between int
+		for s := 0; s < 6; s++ {
+			for d := 0; d < g.NumNodes(); d++ {
+				if s == d {
+					continue
+				}
+				_, b := get(t, h, fmt.Sprintf("/v1/bounds?s=%d&t=%d", s, d))
+				_, q := post(t, h, "/v1/query", fmt.Sprintf(`{"s":%d,"t":%d,"k":100}`, s, d))
+				sample := b["samplingAdvised"].(bool)
+				if byBounds := q["estimator"] == relcomp.EngineBoundsName; byBounds == sample {
+					t.Fatalf("cutoff %v, (%d,%d): bounds [%v, %v] samplingAdvised %v, routed query answered by %v",
+						resolved, s, d, b["lower"], b["upper"], sample, q["estimator"])
+				}
+				if sample {
+					advised++
+				} else {
+					pinched++
+				}
+				// Widths the endpoint's former fixed 0.05 threshold put on the wrong side.
+				if w := b["upper"].(float64) - b["lower"].(float64); (w > 0.05) != (w > resolved) {
+					between++
+				}
+			}
+		}
+		if advised == 0 || pinched == 0 || cutoff > 0 && between == 0 {
+			t.Errorf("cutoff %v: %d pairs advised to sample, %d not, %d between the old threshold and the cutoff", resolved, advised, pinched, between)
+		}
+		// Every routed pair was new to the memo: one bounds computation each.
+		_, stats = get(t, h, "/v1/engine/stats")
+		if n := stats["boundsComputed"].(float64); n != float64(advised+pinched) || stats["boundsSeconds"].(float64) <= 0 {
+			t.Errorf("cutoff %v: %v bounds computations in %v s for %d routed pairs", resolved, n, stats["boundsSeconds"], advised+pinched)
+		}
+	}
+	_, stats := get(t, testServer(t).handler(), "/v1/engine/stats")
+	if stats["boundsComputed"].(float64) != 0 || stats["boundsSeconds"].(float64) != 0 {
+		t.Errorf("idle server reports %v bounds computations in %v s", stats["boundsComputed"], stats["boundsSeconds"])
+	}
+}
+
 func TestTopKEndpoint(t *testing.T) {
 	h := testServer(t).handler()
 	code, body := get(t, h, "/v1/topk?s=0&n=5&k=200")

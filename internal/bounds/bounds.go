@@ -13,6 +13,7 @@ package bounds
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"relcomp/internal/uncertain"
 )
@@ -25,217 +26,99 @@ type Path struct {
 }
 
 // MostReliablePath returns the s-t path maximizing the product of edge
-// probabilities, via Dijkstra on the -log transform. The probability of
-// the returned path is a lower bound on R(s,t). If t is unreachable it
-// returns a zero-probability path with nil nodes.
+// probabilities, by a bidirectional Dijkstra on the probabilities
+// themselves. The probability of the returned path is a lower bound on
+// R(s,t). If t is unreachable it returns a zero-probability path with nil
+// nodes.
 func MostReliablePath(g *uncertain.Graph, s, t uncertain.NodeID) (Path, error) {
-	if err := checkQuery(g, s, t); err != nil {
-		return Path{}, err
-	}
+	return with(g, s, t, (*scratch).mostReliablePath)
+}
+
+func (sc *scratch) mostReliablePath(g *uncertain.Graph, s, t uncertain.NodeID) Path {
 	if s == t {
-		return Path{Nodes: []uncertain.NodeID{s}, Prob: 1}, nil
+		return Path{Nodes: []uncertain.NodeID{s}, Prob: 1}
 	}
-	n := g.NumNodes()
-	const inf = math.MaxFloat64
-	dist := make([]float64, n) // -log prob
-	prev := make([]uncertain.NodeID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
+	prob, meet := sc.search(g, s, t)
+	if meet < 0 {
+		return Path{}
 	}
-	dist[s] = 0
-
-	// Binary heap of (cost, node).
-	type item struct {
-		cost float64
-		node uncertain.NodeID
+	sc.consume(g, 0, meet)
+	slices.Reverse(sc.consumed) // meet back to s becomes s on to meet
+	sc.consume(g, 1, meet)
+	nodes := append(make([]uncertain.NodeID, 0, len(sc.consumed)+1), s)
+	for _, id := range sc.consumed {
+		nodes = append(nodes, g.Edge(id).To)
 	}
-	heap := []item{{0, s}}
-	push := func(it item) {
-		heap = append(heap, it)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].cost <= heap[i].cost {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && heap[l].cost < heap[small].cost {
-				small = l
-			}
-			if r < len(heap) && heap[r].cost < heap[small].cost {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-
-	for len(heap) > 0 {
-		it := pop()
-		v := it.node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		if v == t {
-			break
-		}
-		tos := g.OutNeighbors(v)
-		ps := g.OutProbs(v)
-		for i, w := range tos {
-			c := dist[v] - math.Log(ps[i])
-			if c < dist[w] {
-				dist[w] = c
-				prev[w] = v
-				push(item{c, w})
-			}
-		}
-	}
-	if dist[t] == inf {
-		return Path{}, nil
-	}
-	var nodes []uncertain.NodeID
-	for v := t; v != -1; v = prev[v] {
-		nodes = append(nodes, v)
-		if v == s {
-			break
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-		nodes[i], nodes[j] = nodes[j], nodes[i]
-	}
-	return Path{Nodes: nodes, Prob: math.Exp(-dist[t])}, nil
+	return Path{Nodes: nodes, Prob: prob}
 }
 
 // LowerBound returns a polynomial-time lower bound on R(s,t): the
 // disjoint-products bound over greedily extracted edge-disjoint
 // most-reliable paths (cf. Ball & Provan). Edge-disjoint paths exist
-// independently, so R >= 1 - Π(1 - Prob(path_i)).
+// independently, so R >= 1 - Π(1 - Prob(path_i)) for any such set of
+// paths, whichever way ties between equally reliable paths break.
 func LowerBound(g *uncertain.Graph, s, t uncertain.NodeID) (float64, error) {
-	if err := checkQuery(g, s, t); err != nil {
-		return 0, err
-	}
-	if s == t {
-		return 1, nil
-	}
-	// Work on a mutable copy of the edge set: removed edges are marked.
-	removed := make(map[[2]uncertain.NodeID]bool)
-	miss := 1.0
-	for iter := 0; iter < 16; iter++ {
-		p, err := mostReliablePathAvoiding(g, s, t, removed)
-		if err != nil {
-			return 0, err
-		}
-		if p.Prob == 0 {
-			break
-		}
-		miss *= 1 - p.Prob
-		for i := 0; i+1 < len(p.Nodes); i++ {
-			removed[[2]uncertain.NodeID{p.Nodes[i], p.Nodes[i+1]}] = true
-		}
-	}
-	return 1 - miss, nil
+	return with(g, s, t, (*scratch).lowerBound)
 }
 
-// mostReliablePathAvoiding is MostReliablePath restricted to edges not in
-// the removed set.
-func mostReliablePathAvoiding(g *uncertain.Graph, s, t uncertain.NodeID, removed map[[2]uncertain.NodeID]bool) (Path, error) {
-	if len(removed) == 0 {
-		return MostReliablePath(g, s, t)
+func (sc *scratch) lowerBound(g *uncertain.Graph, s, t uncertain.NodeID) float64 {
+	if s == t {
+		return 1
 	}
-	// Rebuild a filtered graph. This is O(m) per call but LowerBound only
-	// performs a handful of iterations.
-	b := uncertain.NewBuilder(g.NumNodes())
-	for _, e := range g.Edges() {
-		if removed[[2]uncertain.NodeID{e.From, e.To}] {
-			continue
+	// At most 16 paths. Each takes one out-edge of s and one in-edge of t,
+	// so no round is spent finding that either kind has run out.
+	miss := 1.0
+	for rounds := min(16, g.OutDegree(s), g.InDegree(t)); rounds > 0; rounds-- {
+		prob, meet := sc.search(g, s, t)
+		if meet < 0 {
+			break
 		}
-		// Tombstoned edges (p = 0, from dynamic-graph removal) lie on no
-		// path; dropping them here keeps the Builder's (0,1] invariant.
-		if e.P <= 0 {
-			continue
+		miss *= 1 - prob
+		from := len(sc.consumed)
+		sc.consume(g, 0, meet)
+		sc.consume(g, 1, meet)
+		if sc.visit != nil {
+			sc.visit(sc.consumed[from:])
 		}
-		b.MustAddEdge(e.From, e.To, e.P)
 	}
-	return MostReliablePath(b.Build(), s, t)
+	return 1 - miss
 }
 
 // UpperBound returns a polynomial-time upper bound on R(s,t): the minimum
 // over a family of s-t edge cuts of the probability that at least one cut
 // edge exists. Any cut C gives R <= 1 - Π_{e∈C}(1-P(e)); the family
 // examined here consists of the BFS level cuts from s (all edges from
-// level < i to level >= i) and the out-cut of s / in-cut of t.
+// level < i to level >= i, up to t's level) and the in-cut of t.
 func UpperBound(g *uncertain.Graph, s, t uncertain.NodeID) (float64, error) {
-	if err := checkQuery(g, s, t); err != nil {
-		return 0, err
-	}
+	return with(g, s, t, (*scratch).upperBound)
+}
+
+func (sc *scratch) upperBound(g *uncertain.Graph, s, t uncertain.NodeID) float64 {
 	if s == t {
-		return 1, nil
+		return 1
 	}
-	dist := g.HopDistances(s, -1)
-	if dist[t] < 0 {
-		return 0, nil // structurally unreachable
-	}
-	best := 1.0
-	// Level cuts: edges crossing from dist < level to dist >= level (or
-	// unreachable). Every s-t path crosses each level 1..dist[t].
-	for level := int32(1); level <= dist[t]; level++ {
-		miss := 1.0
-		for _, e := range g.Edges() {
-			df, dt := dist[e.From], dist[e.To]
-			if df >= 0 && df < level && (dt < 0 || dt >= level) {
-				miss *= 1 - e.P
-			}
-		}
-		if ub := 1 - miss; ub < best {
-			best = ub
-		}
+	if !sc.levelCuts(g, s, t) {
+		return 0 // structurally unreachable
 	}
 	// In-cut of t: every path ends with an in-edge of t.
 	miss := 1.0
 	for _, id := range g.InEdgeIDs(t) {
 		miss *= 1 - g.Edge(id).P
 	}
-	if ub := 1 - miss; ub < best {
-		best = ub
+	// Level cuts: every s-t path crosses each level 1..level(t).
+	for _, m := range sc.cutMiss[1:] {
+		miss = max(miss, m)
 	}
-	return best, nil
+	return 1 - miss
 }
 
 // Bounds returns (lower, upper) together.
 func Bounds(g *uncertain.Graph, s, t uncertain.NodeID) (lo, hi float64, err error) {
-	lo, err = LowerBound(g, s, t)
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = UpperBound(g, s, t)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Guard against floating-point crossing on near-degenerate inputs.
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi, nil
+	b, err := with(g, s, t, func(sc *scratch, g *uncertain.Graph, s, t uncertain.NodeID) [2]float64 {
+		return [2]float64{sc.lowerBound(g, s, t), sc.upperBound(g, s, t)}
+	})
+	// min guards against floating-point crossing on near-degenerate inputs.
+	return min(b[0], b[1]), b[1], err
 }
 
 // ChernoffSamples returns the Monte Carlo sample size that guarantees
@@ -249,12 +132,4 @@ func ChernoffSamples(eps, lambda, rLow float64) (int, error) {
 	}
 	k := 3 / (eps * eps * rLow) * math.Log(2/lambda)
 	return int(math.Ceil(k)), nil
-}
-
-func checkQuery(g *uncertain.Graph, s, t uncertain.NodeID) error {
-	n := uncertain.NodeID(g.NumNodes())
-	if s < 0 || s >= n || t < 0 || t >= n {
-		return fmt.Errorf("bounds: query (%d,%d) out of range [0,%d)", s, t, n)
-	}
-	return nil
 }

@@ -199,8 +199,10 @@ func TestContextCancellation(t *testing.T) {
 			t.Errorf("batch query %d survived canceled context", i)
 		}
 	}
-	// A context deadline acts as the anytime deadline.
-	dctx, dcancel := context.WithTimeout(context.Background(), time.Millisecond)
+	// A context deadline acts as the anytime deadline. It must still be
+	// ahead when Estimate is entered, or the query fails up front like the
+	// canceled ones above: 1 ms was not, on a loaded machine under -race.
+	dctx, dcancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer dcancel()
 	slow := e.Estimate(dctx, Query{S: 0, T: 5, K: 300, Estimator: "MC", Eps: 1e-12})
 	if slow.Err != nil {

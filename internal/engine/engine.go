@@ -1469,11 +1469,19 @@ type Stats struct {
 	CacheCap       int    `json:"cacheCap"`
 	BoundsAnswered uint64 `json:"boundsAnswered"`
 	// BoundsMemo reports the router's bounds-memo LRU (hits, misses,
-	// evictions, occupancy) so operators can size it: the memoized
-	// analytic bounds walk is the dominant routing cost, and a memo
-	// churning through evictions means repeated adaptive traffic is
-	// re-paying it.
+	// evictions, occupancy) so operators can size it: a memo churning
+	// through evictions means repeated adaptive traffic is re-paying the
+	// bounds computation.
 	BoundsMemo CacheStats `json:"boundsMemo"`
+	// BoundsComputed and BoundsSeconds are the planner's cost: how many
+	// times the router computed analytic bounds (a memo miss each) and
+	// the wall-clock seconds that took in total, to set against the
+	// estimators' latencies. BoundsCutoff is the interval width at or
+	// below which the router answers from the bounds alone, as resolved
+	// from the configuration.
+	BoundsComputed uint64  `json:"boundsComputed"`
+	BoundsSeconds  float64 `json:"boundsSeconds"`
+	BoundsCutoff   float64 `json:"boundsCutoff"`
 	// Anytime accounting: queries computed under a stopping rule (ε or
 	// deadline), the total samples their budgets allowed, and the samples
 	// actually drawn — AnytimeSamplesSaved is the work the stopping rules
@@ -1519,7 +1527,7 @@ type MutationStats struct {
 // a snapshot taken under concurrent traffic can be skewed by in-flight
 // queries (e.g. CacheHits momentarily exceeding Queries).
 func (e *Engine) Stats() Stats {
-	routed, ewma, pinched := e.router.snapshot()
+	routed, ewma, pinched, boundsRuns, boundsSecs := e.router.snapshot()
 	cs := e.cache.stats()
 	memo := e.router.memoStats()
 	st := e.state.Load()
@@ -1541,6 +1549,9 @@ func (e *Engine) Stats() Stats {
 		CacheCap:            cs.Cap,
 		BoundsAnswered:      pinched,
 		BoundsMemo:          memo,
+		BoundsComputed:      boundsRuns,
+		BoundsSeconds:       boundsSecs,
+		BoundsCutoff:        e.router.cutoff,
 		AnytimeQueries:      e.anytimeQueries,
 		AnytimeSampleCap:    e.samplesBudget,
 		AnytimeSamplesDrawn: e.samplesDrawn,

@@ -307,13 +307,13 @@ func TestExplicitBoundsEstimator(t *testing.T) {
 }
 
 // TestRouterBoundsMemo: repeated adaptive queries for the same (s, t)
-// must not recompute the analytic bounds (a large-graph walk) each time.
+// must not recompute the analytic bounds each time.
 func TestRouterBoundsMemo(t *testing.T) {
 	e := testEngine(t, Config{Workers: 1, MaxK: 300, Seed: 42, CacheSize: 64})
 	q := Query{S: 0, T: 9, K: 100}
 	first := e.Estimate(context.Background(), q)
 	second := e.Estimate(context.Background(), q) // may explore a different estimator; only the
-	// bounds walk must be memoized
+	// bounds computation must be memoized
 	if first.Err != nil || second.Err != nil {
 		t.Fatalf("%v / %v", first.Err, second.Err)
 	}
@@ -322,8 +322,14 @@ func TestRouterBoundsMemo(t *testing.T) {
 		t.Errorf("bounds memo hits=%d misses=%d, want 1 miss then hits", ms.Hits, ms.Misses)
 	}
 	// The memo stats surface through engine Stats for operators.
-	if st := e.Stats(); st.BoundsMemo != ms {
+	st := e.Stats()
+	if st.BoundsMemo != ms {
 		t.Errorf("Stats().BoundsMemo %+v != router memo %+v", st.BoundsMemo, ms)
+	}
+	// So does the planner's cost: the one computation, timed, and the
+	// cutoff it is compared against.
+	if st.BoundsComputed != 1 || st.BoundsSeconds <= 0 || st.BoundsCutoff != defaultBoundsCutoff {
+		t.Errorf("Stats() bounds computed %d in %v s at cutoff %v, want 1, > 0, %v", st.BoundsComputed, st.BoundsSeconds, st.BoundsCutoff, defaultBoundsCutoff)
 	}
 }
 

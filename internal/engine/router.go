@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"time"
 
 	"relcomp/internal/bounds"
 	"relcomp/internal/uncertain"
@@ -36,20 +37,23 @@ type router struct {
 
 	// memo caches the (lo, hi) bounds per (s, t, source-epoch tag): the
 	// bounds are static properties of one epoch's graph, and computing
-	// them walks a large part of it, so repeated adaptive queries
-	// (including bounds-pinched ones) must not pay that walk every time.
-	// The caller passes the graph per call (it changes across mutation
-	// epochs) and the source's invalidation tag, which keys entries so a
-	// mutation reachable from s orphans s's memoized bounds while every
-	// other source keeps hitting. There is no in-flight dedup —
-	// concurrent first queries for one (s, t) may race to fill the entry
-	// (benign: the walks return identical values).
+	// them searches the neighbourhoods of both terminals (a fraction of a
+	// millisecond; boundsSecs has the measured total), so repeated
+	// adaptive queries (including bounds-pinched ones) need not pay that
+	// every time. The caller passes the graph per call (it changes across
+	// mutation epochs) and the source's invalidation tag, which keys
+	// entries so a mutation reachable from s orphans s's memoized bounds
+	// while every other source keeps hitting. There is no in-flight dedup
+	// — concurrent first queries for one (s, t) may race to fill the entry
+	// (benign: the searches return identical values).
 	memo *lruCache[[2]float64]
 
-	mu      sync.Mutex
-	latency map[string]float64 // EWMA seconds per query; 0 = no sample yet
-	routed  map[string]uint64  // decisions per estimator
-	pinched uint64             // bounds short-circuits
+	mu         sync.Mutex
+	latency    map[string]float64 // EWMA seconds per query; 0 = no sample yet
+	routed     map[string]uint64  // decisions per estimator
+	pinched    uint64             // bounds short-circuits
+	boundsRuns uint64             // bounds computations (memo misses)
+	boundsSecs float64            // wall-clock seconds those took in total
 }
 
 // accuracyRank orders estimators by the paper's measured relative error at
@@ -133,7 +137,13 @@ func (r *router) boundsFor(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID
 	if b, ok := r.memo.get(memoKey); ok {
 		return b[0], b[1]
 	}
+	start := time.Now()
 	lo, hi, err := bounds.Bounds(g, s, t)
+	elapsed := time.Since(start).Seconds()
+	r.mu.Lock()
+	r.boundsRuns++
+	r.boundsSecs += elapsed
+	r.mu.Unlock()
 	if err != nil {
 		// Out-of-range queries are caught by engine validation before
 		// routing; a bounds failure here means a degenerate graph, so
@@ -257,9 +267,10 @@ func (r *router) observe(name string, seconds float64) {
 	}
 }
 
-// snapshot returns the per-estimator routing counts, EWMA latencies, and
-// the number of bounds short-circuits.
-func (r *router) snapshot() (routed map[string]uint64, latency map[string]float64, pinched uint64) {
+// snapshot returns the per-estimator routing counts, EWMA latencies, the
+// number of bounds short-circuits, and the count and total seconds of
+// bounds computations.
+func (r *router) snapshot() (routed map[string]uint64, latency map[string]float64, pinched, boundsRuns uint64, boundsSecs float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	routed = make(map[string]uint64, len(r.routed))
@@ -270,5 +281,5 @@ func (r *router) snapshot() (routed map[string]uint64, latency map[string]float6
 	for k, v := range r.latency { //lint:allow maprange commutative map-to-map copy for a stats snapshot
 		latency[k] = v
 	}
-	return routed, latency, r.pinched
+	return routed, latency, r.pinched, r.boundsRuns, r.boundsSecs
 }
