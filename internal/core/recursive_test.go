@@ -306,3 +306,27 @@ func TestRSSProbabilityOneEdges(t *testing.T) {
 		t.Errorf("RSS with p=1 edges: %.4f, exact %.4f", got, want)
 	}
 }
+
+// TestRecursiveFanInUnitInterval: on a fan s → m middle nodes → t with
+// certain second hops, the strata sum Σπᵢμᵢ is 1 up to float rounding,
+// which must never carry an estimate above 1.
+func TestRecursiveFanInUnitInterval(t *testing.T) {
+	for draw := uint64(0); draw < 30; draw++ {
+		r := rng.New(draw)
+		m := 2 + r.Intn(60)
+		b := uncertain.NewBuilder(m + 2)
+		s, tt := uncertain.NodeID(0), uncertain.NodeID(m+1)
+		for i := 1; i <= m; i++ {
+			b.MustAddEdge(s, uncertain.NodeID(i), 0.05+0.95*r.Float64())
+			b.MustAddEdge(uncertain.NodeID(i), tt, 1)
+		}
+		g := b.Build()
+		for _, k := range []int{200, 1000} {
+			for _, est := range []Estimator{NewRSS(g, draw), NewRHH(g, draw)} {
+				if got := est.Estimate(s, tt, k); got < 0 || got > 1 {
+					t.Errorf("%s on fan m=%d k=%d (draw %d): %v outside [0, 1]", est.Name(), m, k, draw, got)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"relcomp/internal/rng"
 	"relcomp/internal/uncertain"
@@ -137,7 +138,9 @@ func (e *RSS) recurse(k, depth int) float64 {
 		c.undoTo(mark)
 		total += pi * mu
 	}
-	return total
+	// The strata partition the outcome space, so Σπᵢ = 1 and the sum is at
+	// most 1 in exact arithmetic; float rounding can carry it just past.
+	return math.Min(total, 1)
 }
 
 // Sampler implements IncrementalEstimator via the restart-doubling

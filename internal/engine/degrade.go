@@ -62,6 +62,21 @@ func (e *Engine) degradeRequest(q Request, lvl int) (Request, bool) {
 	return q, changed
 }
 
+// degradeAll applies ladder level lvl to every query (degradeRequest),
+// returning what to execute and which queries it changed; at level 0 that
+// is queries itself, unchanged.
+func (e *Engine) degradeAll(queries []Request, lvl int) (exec []Request, degradedAt []bool) {
+	if lvl <= 0 {
+		return queries, nil
+	}
+	exec = make([]Request, len(queries))
+	degradedAt = make([]bool, len(queries))
+	for i, q := range queries {
+		exec[i], degradedAt[i] = e.degradeRequest(q, lvl)
+	}
+	return exec, degradedAt
+}
+
 // costEstimate predicts a request's admission cost in samples, the unit
 // the MaxInflightSamples budget is denominated in. The default is the
 // request's sample budget; for routed plain queries the router's bounds
@@ -102,28 +117,24 @@ func (e *Engine) admissionKey(q Request) uint64 {
 	return querySeed(e.cfg.Seed, "admission", q.S, q.T, q.K)
 }
 
-// admit runs one request through admission control; see admission.acquire.
-func (e *Engine) admit(ctx context.Context, st *epochState, q Request) (release func(), level int, err error) {
-	if e.adm == nil {
-		return func() {}, 0, nil
-	}
-	return e.adm.acquire(ctx, e.costEstimate(st, q), e.admissionKey(q))
-}
-
-// admitBatch admits a whole batch as one request costed at the sum of its
-// queries — a thousand-query batch must compete against single queries at
-// its true weight, not as one unit — keyed by a fold of the per-query
-// admission keys so batch-level injection decisions are as deterministic
-// as per-query ones.
-func (e *Engine) admitBatch(ctx context.Context, st *epochState, queries []Query) (release func(), level int, err error) {
+// admit runs the valid queries of one call (those whose results carry no
+// validation error) through admission control as one request, costed at
+// the sum of their costs — a thousand-query batch must compete against
+// single queries at its true weight, not as one unit — and keyed by a
+// fold of their admission keys, so batch-level injection decisions are as
+// deterministic as per-query ones. The fold starts from mix64(0) = 0, so
+// a lone query is admitted under its own key. See admission.acquire.
+func (e *Engine) admit(ctx context.Context, st *epochState, queries []Query, results []Response) (release func(), level int, err error) {
 	if e.adm == nil {
 		return func() {}, 0, nil
 	}
 	var cost int64
 	var key uint64
-	for _, q := range queries {
-		cost += e.costEstimate(st, q)
-		key = mix64(key ^ e.admissionKey(q))
+	for i, q := range queries {
+		if results[i].Err == nil {
+			cost += e.costEstimate(st, q)
+			key = mix64(key) ^ e.admissionKey(q)
+		}
 	}
 	return e.adm.acquire(ctx, cost, key)
 }

@@ -1,7 +1,7 @@
-// Package engine is the concurrent batch query engine layered over the
-// paper's six s-t reliability estimators. It exists to serve estimator
-// traffic at production concurrency, which the estimators themselves
-// cannot: each keeps per-instance scratch state and is not goroutine-safe.
+// Package engine is the concurrent query engine layered over the paper's
+// six s-t reliability estimators. It exists to serve estimator traffic at
+// production concurrency, which the estimators themselves cannot: each
+// keeps per-instance scratch state and is not goroutine-safe.
 //
 // Queries arrive through one typed Request union (request.go): plain s-t
 // reliability, distance-constrained reachability (Request.D), top-k
@@ -12,7 +12,11 @@
 // request identity including kind and evidence), anytime stopping, and
 // batch grouping (kinds.go).
 //
-// The engine combines four mechanisms:
+// One execution spine (run) answers every call: Estimate is a batch of
+// one, EstimateBatch a batch of many. The spine validates, admits the
+// valid queries as one request (admission.go, with the degradation ladder
+// of degrade.go), routes, builds work units, and runs them over the
+// workers. It combines five mechanisms:
 //
 //   - Estimator pooling: per-estimator pools of replica instances (same
 //     graph, same seed) hand every worker an exclusive instance, so
@@ -21,13 +25,14 @@
 //     estimator kind; replicas are cheap online-scratch handles over it,
 //     so index memory is O(index), not O(Workers × index), and only the
 //     first borrow pays index build latency.
-//   - Batching: EstimateBatch groups queries by (estimator, source) so the
-//     source-rooted methods amortize their per-source work — one BFS
-//     Sharing traversal answers every target of a source via EstimateAll,
-//     one ProbTree group splice (QueryGraphAll) expands the source-side
-//     bag chain once for every target of a source, and one PackMC pack
-//     sweep (EstimateAll) serves every target of a source from the same
-//     counter-seeded world ensemble its single queries draw.
+//   - Source grouping: the spine groups a call's queries by (estimator,
+//     source) so the source-rooted methods amortize their per-source work
+//     — one BFS Sharing traversal answers every target of a source via
+//     EstimateAll, one ProbTree group splice (QueryGraphEach) expands the
+//     source-side bag chain once for every target of a source, and one
+//     PackMC pack sweep (EstimateAll) serves every target of a source from
+//     the same counter-seeded world ensemble its single queries draw.
+//     Duplicate queries in one call are computed once.
 //   - Result caching: a bounded LRU keyed by (s, t, estimator, k, ε) with
 //     hit/miss/eviction counters (cache.go).
 //   - Adaptive routing: queries that do not name an estimator are routed
@@ -38,13 +43,13 @@
 //     under sequential stopping instead of a fixed budget — K becomes the
 //     sample cap, easy pairs stop after a few hundred samples, and hard
 //     pairs keep sampling until ε, the deadline, or the cap. The router's
-//     bounds interval seeds the stopping layer's chunk schedule; the
-//     source-grouped batch paths advance per-target samplers in lockstep
-//     and retire targets as they converge. Results report the samples
-//     actually used and the rule that stopped them.
+//     bounds interval seeds the stopping layer's chunk schedule; source
+//     groups advance per-target samplers in lockstep and retire targets
+//     as they converge. Results report the samples actually used and the
+//     rule that stopped them.
 //
 // Results are deterministic given Config.Seed: replicas are identical and
-// every Estimate call reseeds the instance from the query key, so a query
+// every computation reseeds its instance from the query key, so a query
 // returns the same value no matter which worker runs it, whether it was
 // batched, and whether it was cached. Concurrent execution is therefore
 // observationally equivalent to sequential execution (asserted by the
@@ -512,8 +517,12 @@ func (e *Engine) noteKind(k Kind) {
 	e.mu.Unlock()
 }
 
-// Estimate answers one query: route if unnamed, consult the cache, then
-// borrow a pooled instance, reseed it from the query key, and run it.
+// Estimate answers one query. It is a batch of one: the same execution
+// spine as EstimateBatch (validation, admission, degradation, routing,
+// the result cache, pooled execution) answers it, so a query's answer does
+// not depend on which entry point carried it. Only Stats' batch counters
+// tell the two apart.
+//
 // The context cancels queued and anytime work: a canceled context fails
 // the query up front and stops an anytime query between sample chunks
 // (fixed-budget estimates are not interruptible once started). A context
@@ -524,74 +533,55 @@ func (e *Engine) noteKind(k Kind) {
 // with ErrOverloaded or ErrQueueTimeout when the queue overflows or the
 // wait expires, and under pressure the degradation ladder may answer
 // below the requested fidelity, flagged via Response.Degraded.
-func (e *Engine) estimateInternal(ctx context.Context, q Request) Response {
-	if ctx == nil {
-		ctx = context.Background() //lint:allow ctxflow nil-ctx compatibility defaulting at the API boundary itself
-	}
-	// One state load per query: the whole call — validation, routing,
-	// pool borrow, cache keys — runs against this epoch snapshot, so a
-	// concurrent Apply can never hand it a blend of two worlds.
-	st := e.state.Load()
-	res := Response{Request: q, Epoch: st.epoch}
-	if err := e.validate(st, q); err != nil {
-		res.Err = err
-		return res
-	}
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
-	}
-	release, lvl, err := e.admit(ctx, st, q)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	defer release()
-	e.noteKind(q.kind())
-	dq, degraded := e.degradeRequest(q, lvl)
-	if degraded {
-		res.Degraded = true
-		e.adm.noteDegraded()
-	}
-	if !dq.plainReliability() {
-		e.runKind(ctx, st, dq, &res)
-		return res
-	}
-	start := time.Now()
-	name, d, done := e.resolve(st, dq, &res)
-	if done {
-		if degraded && res.Used == BoundsName && q.Estimator != BoundsName {
-			// The ladder floor: the request asked for sampling and got the
-			// bounds midpoint instead.
-			res.StopReason = string(core.StopDegraded)
-		}
-		res.Latency = time.Since(start)
-		return res
-	}
-	e.runSingle(ctx, st, name, d, dq, &res)
-	// Report the full cost including any routing bounds walk; the
-	// estimator-only time was already fed to the router inside.
-	res.Latency = time.Since(start)
-	return res
+func (e *Engine) Estimate(ctx context.Context, q Request) Response {
+	return e.execute(ctx, []Request{q})[0]
 }
 
-// resolve names the estimator for a validated query, routing adaptively
-// when the query names none. When the analytic bounds pinch the answer —
-// or the query explicitly asks for the BoundsName pseudo-estimator — it
-// fills res in and reports done; no sampling runs at all. For routed
-// queries the returned decision carries the bounds interval, which seeds
-// the anytime stopping layer's prior and chunk schedule.
-func (e *Engine) resolve(st *epochState, q Query, res *Result) (name string, d decision, done bool) {
+// EstimateBatch answers a set of queries concurrently: validated up
+// front, adaptively routed in a parallel resolve phase, turned into work
+// units (amortized (source, k, ε, deadline) groups for the groupable
+// estimators, per-query units otherwise), and spread over the engine's
+// workers. Results are positionally aligned with the input and identical
+// to what sequential Estimate calls would return (modulo adaptive
+// routing, which is latency-dependent). A canceled context fails the
+// not-yet-started units with the context error; in-flight fixed-budget
+// units finish, in-flight anytime units stop at the next chunk.
+//
+// Under admission control the batch admits as one request costed at the
+// sum of its valid queries; a shed batch fails every valid position with
+// the admission error, and a degradation level in force at admission
+// applies to every query (per-position Degraded flags report which were
+// actually reduced).
+func (e *Engine) EstimateBatch(ctx context.Context, queries []Query) []Result {
+	results := e.execute(ctx, queries)
+	answered := uint64(0)
+	for i := range results {
+		if results[i].Err == nil {
+			answered++
+		}
+	}
+	e.mu.Lock()
+	e.batches++
+	e.batched += answered
+	e.mu.Unlock()
+	return results
+}
+
+// resolve routes a validated query that names no estimator, or answers
+// one that names the BoundsName pseudo-estimator. When the analytic
+// bounds pinch the answer — or the query explicitly asks for BoundsName —
+// it fills res in and reports done; no sampling runs at all. Otherwise
+// the returned decision names the routed estimator and carries the
+// bounds interval, which seeds the anytime stopping layer's prior and
+// chunk schedule.
+func (e *Engine) resolve(st *epochState, q Query, res *Result) (d decision, done bool) {
 	if q.Estimator == BoundsName {
 		start := time.Now()
 		res.Used = BoundsName
 		res.Reliability = e.router.midpoint(st.g, st.srcTag(q.S), q.S, q.T)
 		res.Latency = time.Since(start)
 		e.record(BoundsName, res.Latency.Seconds(), false)
-		return "", d, true
-	}
-	if q.Estimator != "" {
-		return q.Estimator, d, false
+		return d, true
 	}
 	start := time.Now()
 	d = e.router.route(st.g, st.srcTag(q.S), q.S, q.T)
@@ -602,9 +592,9 @@ func (e *Engine) resolve(st *epochState, q Query, res *Result) (name string, d d
 		// it so the "bounds" stats row reflects reality, not zero.
 		res.Latency = time.Since(start)
 		e.record(BoundsName, res.Latency.Seconds(), false)
-		return "", d, true
+		return d, true
 	}
-	return d.estimator, d, false
+	return d, false
 }
 
 // effectiveDeadline resolves a query's wall-clock bound from its Deadline
@@ -676,33 +666,28 @@ func (e *Engine) runSingle(ctx context.Context, st *epochState, name string, d d
 	// Deadline-truncated results are timing-dependent: never cached.
 	if dl.IsZero() {
 		if v, ok := e.cache.get(key); ok {
-			res.Reliability = v.r
-			res.SamplesUsed = v.samples
-			res.StopReason = v.reason
-			res.Cached = true
-			res.Epoch = v.epoch
-			e.record(name, 0, true)
+			e.fillHit(res, name, v)
 			return
 		}
 	}
-	p := st.pools[name]
-	if err := e.withReplica(p, func(inst core.Estimator) {
-		e.runBorrowed(ctx, st, inst, name, q, dl, opts, key, res)
-	}); err != nil {
-		// A faulted replica (or factory) costs exactly this query: the
-		// replica was discarded, the error is typed, nothing is cached.
-		res.Err = err
-	}
+	e.compute(ctx, st, name, q, dl, opts, key, res)
 }
 
-// runBorrowed answers one query on an already-borrowed instance and does
-// the full accounting: timing, cache fill, router observation, counters.
-func (e *Engine) runBorrowed(ctx context.Context, st *epochState, inst core.Estimator, name string, q Query, dl time.Time, opts core.AdaptiveOptions, key cacheKey, res *Result) {
-	start := time.Now()
-	e.runOne(ctx, inst, name, q, dl, opts, res)
-	res.Latency = time.Since(start)
+// compute answers one query on a borrowed instance of the named estimator
+// and does the full accounting: timing, cache fill, router observation,
+// counters. A faulted replica (or factory) costs exactly this query: the
+// replica is discarded, the error is typed, nothing is cached.
+func (e *Engine) compute(ctx context.Context, st *epochState, name string, q Query, dl time.Time, opts core.AdaptiveOptions, key cacheKey, res *Result) {
+	if err := e.withReplica(st.pools[name], func(inst core.Estimator) {
+		start := time.Now()
+		e.runOne(ctx, inst, name, q, dl, opts, res)
+		res.Latency = time.Since(start)
+	}); err != nil {
+		res.Err = err
+		return
+	}
 	if res.Err == nil && dl.IsZero() {
-		e.cache.put(key, cacheVal{r: res.Reliability, samples: res.SamplesUsed, reason: res.StopReason, epoch: st.epoch})
+		e.cache.put(key, answerOf(res, st.epoch))
 	}
 	e.router.observe(name, res.Latency.Seconds())
 	e.record(name, res.Latency.Seconds(), false)
@@ -714,40 +699,73 @@ func (e *Engine) runBorrowed(ctx context.Context, st *epochState, inst core.Esti
 // fixed path runs, so plain queries stay bit-identical to the estimators'
 // own Estimate.
 func (e *Engine) runOne(ctx context.Context, inst core.Estimator, name string, q Query, dl time.Time, opts core.AdaptiveOptions, res *Result) {
+	seed := e.querySeedFor(name, q.S, q.T, q.K)
 	if faultinject.Enabled() {
 		// Injection points keyed by the per-query stream seed, so a seeded
 		// injector faults the same queries on every run regardless of
 		// scheduling. The panic is contained by withReplica above.
-		fkey := e.querySeedFor(name, q.S, q.T, q.K)
-		faultinject.Sleep(faultinject.SlowReplica, fkey)
-		faultinject.MaybePanic(faultinject.EstimatorPanic, fkey)
+		faultinject.Sleep(faultinject.SlowReplica, seed)
+		faultinject.MaybePanic(faultinject.EstimatorPanic, seed)
 	}
 	if s, ok := inst.(core.Seeder); ok {
-		s.Reseed(e.querySeedFor(name, q.S, q.T, q.K))
+		s.Reseed(seed)
 	}
-	if q.Eps <= 0 && dl.IsZero() {
-		res.Reliability = inst.Estimate(q.S, q.T, q.K)
-		res.SamplesUsed = q.K
-		return
-	}
-	ar := core.AdaptiveEstimate(core.NewSampler(inst, q.S, q.T), opts)
+	e.runScalar(ctx, q, inst.Estimate, stSampler(inst, q), q.Eps > 0 || !dl.IsZero(), opts, res)
+}
+
+// fillAnytime reports an anytime session's outcome on res — the estimate,
+// the samples drawn and the rule that stopped them; a canceled session
+// fails res with the context error — and adds it to the
+// samples-saved-vs-budget accounting.
+func (e *Engine) fillAnytime(ctx context.Context, res *Response, budget int, ar core.AdaptiveResult) {
 	res.Reliability = ar.Estimate
 	res.SamplesUsed = ar.Samples
 	res.StopReason = string(ar.Reason)
 	if ar.Reason == core.StopCanceled {
 		res.Err = ctx.Err()
 	}
-	e.recordAnytime(q.K, ar.Samples)
-}
-
-// recordAnytime accumulates the samples-saved-vs-budget accounting for
-// one computed anytime answer.
-func (e *Engine) recordAnytime(budget, drawn int) {
 	e.mu.Lock()
 	e.anytimeQueries++
 	e.samplesBudget += uint64(budget)
-	e.samplesDrawn += uint64(drawn)
+	e.samplesDrawn += uint64(ar.Samples)
 	e.mu.Unlock()
+}
+
+// fillHit answers res from a result-cache entry.
+func (e *Engine) fillHit(res *Response, name string, v cacheVal) {
+	res.Reliability, res.Reliabilities, res.TopTargets = v.r, v.all, v.top
+	res.SamplesUsed, res.StopReason, res.Epoch = v.samples, v.reason, v.epoch
+	res.Cached = true
+	e.record(name, 0, true)
+}
+
+// answerOf is the cache entry for res, computed under epoch.
+func answerOf(res *Response, epoch uint64) cacheVal {
+	return cacheVal{
+		r: res.Reliability, all: res.Reliabilities, top: res.TopTargets,
+		samples: res.SamplesUsed, reason: res.StopReason, epoch: epoch,
+	}
+}
+
+// fanOut answers the duplicates dups with the computation at results[first]:
+// the same payload and epoch, reported as reused (Cached, counted in
+// Stats.DedupedQueries) whether or not the result cache is enabled. An
+// errored representative (context cancellation) passes its error on
+// without posing as a cache hit.
+func (e *Engine) fanOut(results []Response, first int, dups []int) {
+	src := &results[first]
+	for _, i := range dups {
+		results[i] = Response{
+			Request: results[i].Request, Used: src.Used, Epoch: src.Epoch,
+			Reliability: src.Reliability, Reliabilities: src.Reliabilities, TopTargets: src.TopTargets,
+			SamplesUsed: src.SamplesUsed, StopReason: src.StopReason,
+			Cached: src.Err == nil, Err: src.Err,
+		}
+		if src.Err == nil {
+			e.noteDeduped()
+			e.record(src.Used, 0, true)
+		}
+	}
 }
 
 // querySeedFor derives the stream seed runOne reseeds with. PackMC's
@@ -763,14 +781,13 @@ func (e *Engine) querySeedFor(name string, s, t uncertain.NodeID, k int) uint64 
 	return querySeed(e.cfg.Seed, name, s, t, k)
 }
 
-// workUnit is one batch work item. Two shapes:
+// workUnit is one work item of the execution spine. Two shapes:
 //   - a groupable estimator (BFS Sharing, ProbTree, PackMC): a (source,
 //     k, ε, deadline) group — every same-source, same-budget,
-//     same-stopping-rule query of the batch, answered with the per-source
+//     same-stopping-rule query of the call, answered with the per-source
 //     work amortized across the group;
 //   - otherwise: one distinct (estimator, s, t, k, ε, deadline) query,
-//     computed once and fanned out to every batch position that asked
-//     for it.
+//     computed once and fanned out to every position that asked for it.
 //
 // Routed (unnamed-estimator) queries are resolved in a parallel phase
 // before units are built, so queries the router sends to a groupable
@@ -782,19 +799,29 @@ type workUnit struct {
 	eps      float64
 	deadline time.Duration
 	idxs     []int // query indices the unit answers
-	// isKind marks a non-plain request unit (any kind other than plain
-	// s-t reliability, or any request under evidence): one runKind call
-	// answers the representative query and fans out to duplicates. Such
-	// units are already deduped on the full request identity, so mixed
-	// batches group by (kind, source, parameters) — a top-k and a
-	// single-source request of one source are distinct units, while
-	// identical requests collapse to one computation.
-	isKind bool
+	shape    unitShape
 }
 
-// groupKey identifies one batch work unit: the cache key (whose target is
-// zeroed for amortized source groups) plus the deadline, which shapes
-// anytime execution but never enters the result cache.
+// unitShape says how a work unit runs.
+type unitShape int
+
+const (
+	// perQuery: one distinct plain query, run by runSingle.
+	perQuery unitShape = iota
+	// sourceGroup: an amortized source group, run by runShared.
+	sourceGroup
+	// kindRequest: a non-plain request (any kind other than plain s-t
+	// reliability, or any request under evidence), run by runKind. Such
+	// units are deduped on the full request identity, so mixed calls
+	// group by (kind, source, parameters) — a top-k and a single-source
+	// request of one source are distinct units, while identical requests
+	// collapse to one computation.
+	kindRequest
+)
+
+// groupKey identifies one work unit: the cache key (whose target is zeroed
+// for amortized source groups) plus the deadline, which shapes anytime
+// execution but never enters the result cache.
 type groupKey struct {
 	key      cacheKey
 	deadline time.Duration
@@ -843,81 +870,88 @@ func groupable(name string) bool {
 	return name == sharedName || name == ptName || packLike(name)
 }
 
-// orderedGroups accumulates query indices per key, remembering the keys'
-// first-appearance order so iteration — and with it unit execution order
-// — is deterministic run to run.
+// orderedGroups accumulates query indices per key in the keys'
+// first-appearance order, so iteration — and with it unit execution order
+// — is deterministic run to run: groups[j] holds the indices of order[j].
+// The key index is built only when a second distinct key arrives, so a
+// call with one query allocates no map.
 type orderedGroups[K comparable] struct {
-	groups map[K][]int
 	order  []K
-}
-
-func newOrderedGroups[K comparable]() *orderedGroups[K] {
-	return &orderedGroups[K]{groups: make(map[K][]int)}
+	groups [][]int
+	index  map[K]int
 }
 
 func (g *orderedGroups[K]) add(key K, i int) {
-	if _, seen := g.groups[key]; !seen {
-		g.order = append(g.order, key)
+	j, seen := g.index[key]
+	if g.index == nil {
+		seen = len(g.order) == 1 && g.order[0] == key
 	}
-	g.groups[key] = append(g.groups[key], i)
+	if !seen {
+		j = len(g.order)
+		if j == 1 {
+			g.index = map[K]int{g.order[0]: 0}
+		}
+		if g.index != nil {
+			g.index[key] = j
+		}
+		g.order = append(g.order, key)
+		g.groups = append(g.groups, nil)
+	}
+	g.groups[j] = append(g.groups[j], i)
 }
 
-// EstimateBatch answers a set of queries concurrently: validated up
-// front, adaptively routed in a parallel resolve phase, turned into work
-// units (amortized (source, k, ε, deadline) groups for the groupable
-// estimators, per-query units otherwise), and spread over the engine's
-// workers. Results are positionally aligned with the input and identical
-// to what sequential Estimate calls would return (modulo adaptive
-// routing, which is latency-dependent). A canceled context fails the
-// not-yet-started units with the context error; in-flight fixed-budget
-// units finish, in-flight anytime units stop at the next chunk.
-//
-// Under admission control the batch admits as one request costed at the
-// sum of its queries; a shed batch fails every position with the
-// admission error, and a degradation level in force at admission applies
-// to every query (per-position Degraded flags report which were actually
-// reduced).
-func (e *Engine) estimateBatchInternal(ctx context.Context, queries []Query) []Result {
-	if ctx == nil {
-		ctx = context.Background() //lint:allow ctxflow nil-ctx compatibility defaulting at the API boundary itself
-	}
-	// The whole batch runs against one epoch snapshot: admission costing,
-	// validation, routing, amortized groups, and cache keys all agree on
-	// the graph, whatever Apply does concurrently.
+// run is the engine's one execution spine, behind both Estimate and
+// EstimateBatch (through execute, relabel.go): validate every query,
+// admit the valid ones as one request, degrade them if admission says so,
+// resolve routed queries in parallel, build work units, run the units
+// over the workers, and flag the degraded answers. Results echo each
+// request as asked, not the degraded variant actually executed.
+func (e *Engine) run(ctx context.Context, queries []Query) []Result {
+	// The whole call runs against one epoch snapshot: validation,
+	// admission costing, routing, amortized groups, and cache keys all
+	// agree on the graph, whatever Apply does concurrently.
 	st := e.state.Load()
 	results := make([]Response, len(queries))
-	release, lvl, aerr := e.admitBatch(ctx, st, queries)
-	if aerr != nil {
+	valid := 0
+	for i, q := range queries {
+		results[i] = Response{Request: q, Epoch: st.epoch, Err: e.validate(st, q)}
+		if results[i].Err == nil {
+			valid++
+		}
+	}
+	// Requests that fail validation or arrive canceled are never admitted.
+	fail := func(err error) []Result {
 		for i := range results {
-			results[i].Request = queries[i]
-			results[i].Err = aerr
+			if results[i].Err == nil {
+				results[i].Err = err
+			}
 		}
 		return results
 	}
-	defer release()
-	orig := queries
-	var degradedAt []bool
-	if lvl > 0 {
-		dq := make([]Query, len(queries))
-		degradedAt = make([]bool, len(queries))
-		for i, q := range queries {
-			dq[i], degradedAt[i] = e.degradeRequest(q, lvl)
-		}
-		queries = dq
+	if valid == 0 {
+		return results
 	}
-	names := make([]string, len(queries))
-	decisions := make([]decision, len(queries))
-	routed := newOrderedGroups[cacheKey]() // adaptive queries by (s, t)
-	kinds := newOrderedGroups[groupKey]()  // non-plain requests by identity
-	for i, q := range queries {
-		// Results echo the request as asked, not the degraded variant
-		// actually executed.
-		results[i].Request = orig[i]
-		if err := e.validate(st, q); err != nil {
-			results[i].Err = err
+	if err := ctx.Err(); err != nil {
+		return fail(err)
+	}
+	release, lvl, err := e.admit(ctx, st, queries, results)
+	if err != nil {
+		return fail(err)
+	}
+	defer release()
+	// exec is what actually runs: the degraded variants of the queries
+	// under a ladder level, the queries themselves otherwise.
+	exec, degradedAt := e.degradeAll(queries, lvl)
+	// decisions[i].estimator names the estimator query i runs on; it
+	// stays "" for queries not to run (invalid, or answered by the
+	// bounds). Routed queries carry their whole bounds decision.
+	decisions := make([]decision, len(exec))
+	var routed orderedGroups[cacheKey] // adaptive queries by (s, t)
+	var kinds orderedGroups[groupKey]  // non-plain requests by identity
+	for i, q := range exec {
+		if results[i].Err != nil {
 			continue
 		}
-		results[i].Epoch = st.epoch
 		e.noteKind(q.kind())
 		if !q.plainReliability() {
 			// Non-plain requests dedupe on their full identity; each
@@ -933,13 +967,14 @@ func (e *Engine) estimateBatchInternal(ctx context.Context, queries []Query) []R
 			routed.add(cacheKey{s: q.S, t: q.T, est: q.Estimator}, i)
 			continue
 		}
-		names[i] = q.Estimator
+		decisions[i].estimator = q.Estimator
 	}
 	// Resolve adaptive queries across the workers first — the analytic
 	// bounds walk dominates routing cost and must not run serially —
 	// so routed queries join the amortized groups below like named ones.
-	e.forEachParallel(len(routed.order), func(j int) {
-		idxs := routed.groups[routed.order[j]]
+	pairs := routed.groups
+	e.forEachParallel(len(pairs), func(j int) {
+		idxs := pairs[j]
 		if err := ctx.Err(); err != nil {
 			for _, i := range idxs {
 				results[i].Err = err
@@ -947,94 +982,83 @@ func (e *Engine) estimateBatchInternal(ctx context.Context, queries []Query) []R
 			return
 		}
 		first := idxs[0]
-		name, d, done := e.resolve(st, queries[first], &results[first])
-		if !done {
-			names[first] = name
-			decisions[first] = d
-		}
-		for _, i := range idxs[1:] {
-			if done {
-				// Duplicates reuse the first answer with the same
-				// cache-hit semantics as every other dedup path, and
-				// count in the bounds counters like separate calls.
-				results[i].Used = results[first].Used
-				results[i].Reliability = results[first].Reliability
-				results[i].Epoch = results[first].Epoch
-				results[i].Cached = true
+		d, done := e.resolve(st, exec[first], &results[first])
+		if done {
+			// Duplicates count in the bounds counters like separate calls.
+			for range idxs[1:] {
 				e.router.notePinched()
-				e.noteDeduped()
-				e.record(BoundsName, 0, true)
-			} else {
-				names[i] = name
-				decisions[i] = d
-				e.router.noteRouted(name)
 			}
+			e.fanOut(results, first, idxs[1:])
+			return
+		}
+		for _, i := range idxs {
+			decisions[i] = d
+		}
+		for range idxs[1:] {
+			e.router.noteRouted(d.estimator)
 		}
 	}, func(j int, err error) {
-		for _, i := range routed.groups[routed.order[j]] {
+		for _, i := range pairs[j] {
 			results[i].Err = err
 		}
 	})
 
 	// Units are built in first-appearance order so execution order (and
 	// with it replica construction and stats accumulation) is the same
-	// on every run of an identical batch. Group keys extend cacheKey with
+	// on every run of an identical call. Group keys extend cacheKey with
 	// the deadline; for amortized groups the target is zeroed, keying on
 	// (estimator, s, k, ε, deadline).
-	shared := newOrderedGroups[groupKey]()
-	single := newOrderedGroups[groupKey]()
-	for i, q := range queries {
+	_, ctxDeadline := ctx.Deadline()
+	var shared, single orderedGroups[groupKey]
+	for i, q := range exec {
+		name := decisions[i].estimator
+		if name == "" {
+			continue
+		}
+		// Dedup identical queries: one computation fans out to every
+		// position that asked for it.
+		gk := groupKey{key: cacheKey{s: q.S, t: q.T, est: name, k: q.K, eps: q.Eps}, deadline: q.Deadline}
 		switch {
-		case names[i] == "": // invalid or already answered by the bounds
-		case groupable(names[i]):
-			shared.add(groupKey{
-				key:      cacheKey{s: q.S, est: names[i], k: q.K, eps: q.Eps},
-				deadline: q.Deadline,
-			}, i)
+		case decisions[i].width > 0 && (q.anytime() || ctxDeadline):
+			// A routed anytime query runs on a bounds-seeded chunk
+			// schedule: a lockstep group sweep cannot honor it, and a
+			// named query of the same pair (default schedule) is not its
+			// duplicate.
+			gk.key.prior = decisions[i].prior
+			single.add(gk, i)
+		case groupable(name):
+			gk.key.t = 0
+			shared.add(gk, i)
 		default:
-			// Dedup identical queries: one computation fans out to every
-			// batch position that asked for it.
-			single.add(groupKey{
-				key:      cacheKey{s: q.S, t: q.T, est: names[i], k: q.K, eps: q.Eps},
-				deadline: q.Deadline,
-			}, i)
+			single.add(gk, i)
 		}
-	}
-	units := make([]workUnit, 0, len(single.order)+len(shared.order)+len(kinds.order))
-	asUnit := func(gk groupKey, idxs []int) workUnit {
-		return workUnit{
-			est: gk.key.est, s: gk.key.s, k: gk.key.k,
-			eps: gk.key.eps, deadline: gk.deadline, idxs: idxs,
-		}
-	}
-	for _, key := range single.order {
-		units = append(units, asUnit(key, single.groups[key]))
-	}
-	// One unit per (estimator, source, k, ε, deadline): same-source
-	// groups with different budgets (or estimators, or stopping rules)
-	// are independent, so they parallelize too.
-	for _, key := range shared.order {
-		units = append(units, asUnit(key, shared.groups[key]))
-	}
-	// Non-plain kind units parallelize like any other; their estimator
-	// pools (BFS Sharing, PackMC, per-d distance) are Workers-deep.
-	for _, key := range kinds.order {
-		u := asUnit(key, kinds.groups[key])
-		u.isKind = true
-		units = append(units, u)
 	}
 	// Units of single-instance pools (ParallelMC) run last: placed
 	// earlier they would pile all workers up blocked on the one replica
 	// while runnable units wait in the queue.
-	var unconstrained, constrained []workUnit
-	for _, u := range units {
-		if p := st.pools[u.est]; p != nil && p.capacity == 1 {
-			constrained = append(constrained, u)
-		} else {
-			unconstrained = append(unconstrained, u)
+	var free, constrained []workUnit
+	addUnits := func(g *orderedGroups[groupKey], shape unitShape) {
+		for j, gk := range g.order {
+			u := workUnit{
+				est: gk.key.est, s: gk.key.s, k: gk.key.k,
+				eps: gk.key.eps, deadline: gk.deadline, idxs: g.groups[j], shape: shape,
+			}
+			if p := st.pools[u.est]; p != nil && p.capacity == 1 {
+				constrained = append(constrained, u)
+			} else {
+				free = append(free, u)
+			}
 		}
 	}
-	units = append(unconstrained, constrained...)
+	addUnits(&single, perQuery)
+	// One unit per (estimator, source, k, ε, deadline): same-source
+	// groups with different budgets (or estimators, or stopping rules)
+	// are independent, so they parallelize too.
+	addUnits(&shared, sourceGroup)
+	// Non-plain kind units parallelize like any other; their estimator
+	// pools (BFS Sharing, PackMC, per-d distance) are Workers-deep.
+	addUnits(&kinds, kindRequest)
+	units := append(free, constrained...)
 
 	e.forEachParallel(len(units), func(j int) {
 		u := units[j]
@@ -1044,85 +1068,38 @@ func (e *Engine) estimateBatchInternal(ctx context.Context, queries []Query) []R
 			}
 			return
 		}
-		if u.isKind {
-			first := u.idxs[0]
-			e.runKind(ctx, st, queries[first], &results[first])
-			for _, i := range u.idxs[1:] {
-				// Duplicates reuse the computed value, per-kind payloads
-				// included (the slices are shared, read-only). An errored
-				// representative (context cancellation) propagates its
-				// error without posing as a cache hit.
-				results[i].Used = results[first].Used
-				results[i].Reliability = results[first].Reliability
-				results[i].Reliabilities = results[first].Reliabilities
-				results[i].TopTargets = results[first].TopTargets
-				results[i].SamplesUsed = results[first].SamplesUsed
-				results[i].StopReason = results[first].StopReason
-				results[i].Epoch = results[first].Epoch
-				results[i].Err = results[first].Err
-				if results[first].Err == nil {
-					results[i].Cached = true
-					e.noteDeduped()
-					e.record(results[first].Used, 0, true)
-				}
-			}
-			return
-		}
-		if groupable(u.est) {
-			e.runShared(ctx, st, u, queries, results)
-			return
-		}
 		first := u.idxs[0]
-		e.runSingle(ctx, st, u.est, decisions[first], queries[first], &results[first])
-		for _, i := range u.idxs[1:] {
-			// Duplicates reuse the computed value — cache-hit semantics,
-			// whether or not the cache itself is enabled. An errored
-			// representative (context cancellation) propagates its error
-			// without posing as a cache hit.
-			results[i].Used = results[first].Used
-			results[i].Reliability = results[first].Reliability
-			results[i].SamplesUsed = results[first].SamplesUsed
-			results[i].StopReason = results[first].StopReason
-			results[i].Epoch = results[first].Epoch
-			results[i].Err = results[first].Err
-			if results[first].Err == nil {
-				results[i].Cached = true
-				e.noteDeduped()
-				e.record(u.est, 0, true)
-			}
+		switch u.shape {
+		case sourceGroup:
+			e.runShared(ctx, st, u, exec, results)
+			return
+		case kindRequest:
+			e.runKind(ctx, st, exec[first], &results[first])
+		default:
+			e.runSingle(ctx, st, u.est, decisions[first], exec[first], &results[first])
 		}
+		e.fanOut(results, first, u.idxs[1:])
 	}, func(j int, err error) {
 		// A unit that still panicked past the replica-level containment
 		// (an engine bug, not a replica fault) costs its own positions
-		// only; the rest of the batch is unaffected.
+		// only; the rest of the call is unaffected.
 		for _, i := range units[j].idxs {
 			results[i].Err = err
 		}
 	})
 
-	if degradedAt != nil {
-		for i := range results {
-			if !degradedAt[i] || results[i].Err != nil {
-				continue
-			}
-			results[i].Degraded = true
-			e.adm.noteDegraded()
-			if results[i].Used == BoundsName && orig[i].Estimator != BoundsName && results[i].StopReason == "" {
-				results[i].StopReason = string(core.StopDegraded)
-			}
+	for i := range degradedAt {
+		if !degradedAt[i] || results[i].Err != nil {
+			continue
+		}
+		results[i].Degraded = true
+		e.adm.noteDegraded()
+		if results[i].Used == BoundsName && queries[i].Estimator != BoundsName {
+			// The ladder floor: the request asked for sampling and got the
+			// bounds midpoint instead.
+			results[i].StopReason = string(core.StopDegraded)
 		}
 	}
-
-	answered := uint64(0)
-	for i := range results {
-		if results[i].Err == nil {
-			answered++
-		}
-	}
-	e.mu.Lock()
-	e.batches++
-	e.batched += answered
-	e.mu.Unlock()
 	return results
 }
 
@@ -1133,21 +1110,10 @@ func (e *Engine) estimateBatchInternal(ctx context.Context, queries []Query) []R
 // results — never the process (an unrecovered panic on an engine-spawned
 // goroutine would kill it) and never the batch's other units.
 func (e *Engine) forEachParallel(n int, fn func(int), onPanic func(int, error)) {
-	if n == 0 {
-		return
-	}
-	run := func(j int) {
-		if err := capturePanic(func() { fn(j) }); err != nil && onPanic != nil {
-			onPanic(j, err)
-		}
-	}
-	workers := e.cfg.Workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.cfg.Workers, n)
 	if workers <= 1 {
 		for j := 0; j < n; j++ {
-			run(j)
+			runContained(j, fn, onPanic)
 		}
 		return
 	}
@@ -1162,223 +1128,164 @@ func (e *Engine) forEachParallel(n int, fn func(int), onPanic func(int, error)) 
 		go func() {
 			defer wg.Done()
 			for j := range work {
-				run(j)
+				runContained(j, fn, onPanic)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
+// runContained runs fn(j), reporting a panic through onPanic.
+func runContained(j int, fn func(int), onPanic func(int, error)) {
+	if err := capturePanic(func() { fn(j) }); err != nil && onPanic != nil {
+		onPanic(j, err)
+	}
+}
+
 // runShared amortizes a groupable (estimator, source, k, ε, deadline)
 // group: every query shares the estimator, source, budget, and stopping
 // rule, so the per-source work is paid once for the whole group. For BFS
-// Sharing one EstimateAll traversal answers all targets at once —
-// EstimateAll(s, k)[t] is exactly Estimate(s, t, k), the s-t query just
-// reads one entry of the traversal the method computes anyway. For
-// ProbTree one QueryGraphAll call expands the s-side bag chain once and
-// splices every target against it, producing per-target query graphs
-// identical to per-query splicing; each target's inner estimate then runs
-// under its own per-query reseed. On both paths amortization does not
-// change results.
+// Sharing and PackMC one EstimateAll traversal answers all targets at
+// once — EstimateAll(s, k)[t] is exactly Estimate(s, t, k), the s-t query
+// just reads one entry of the traversal the method computes anyway (PackMC
+// is reseeded target-less, and its counter-based streams draw the world
+// ensemble each single query would). For ProbTree one QueryGraphEach call
+// expands the s-side bag chain once and splices every target against it,
+// producing per-target query graphs identical to per-query splicing; each
+// target's inner estimate then runs under its own per-query reseed. On
+// every path amortization does not change results.
 //
 // Anytime groups (ε or deadline set) run the same amortized traversals
 // incrementally: BFS Sharing and PackMC advance one multi-target session
 // in lockstep and retire each target as its stopping rule fires, ending
 // the shared sweep once every target is retired; ProbTree splices the
 // source side once and runs each target's inner session under its own
-// stopping. Grouped execution always uses the default chunk schedule —
-// one lockstep sweep cannot honor per-target bounds priors — so a named
-// anytime query's answer is bit-identical to the single path's (which
-// also uses the default schedule; the sessions share streams and chunk
-// boundaries), while a routed anytime query may stop at different
-// boundaries than its bounds-seeded single run, consistent with the
-// engine's routing carve-out from the determinism guarantee. The cache
-// keys schedule fields, so the two variants never mix entries.
+// stopping. Grouped execution uses the default chunk schedule, as named
+// queries do on the per-query path, so the sessions share streams and
+// chunk boundaries and a grouped answer is bit-identical to the per-query
+// one. (Routed anytime queries, whose schedule is bounds-seeded, are
+// never grouped.)
 func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, queries []Query, results []Result) {
 	name, s, k := u.est, u.s, u.k
 	dl := effectiveDeadline(ctx, u.deadline)
 	anytime := u.eps > 0 || !dl.IsZero()
 	cacheable := dl.IsZero()
+	keyFor := func(t uncertain.NodeID) cacheKey {
+		return cacheKey{s: s, t: t, est: name, k: k, eps: u.eps, epoch: st.srcTag(s)}
+	}
 	// Dedupe by target first, then consult the cache once per unique
 	// target — duplicates never touch the cache counters, matching the
 	// per-query dedup path.
-	byTarget := newOrderedGroups[uncertain.NodeID]()
+	var byTarget orderedGroups[uncertain.NodeID]
 	for _, i := range u.idxs {
 		results[i].Used = name
 		byTarget.add(queries[i].T, i)
 	}
-	reuse := func(first int, dups []int) {
-		for _, i := range dups {
-			results[i].Reliability = results[first].Reliability
-			results[i].SamplesUsed = results[first].SamplesUsed
-			results[i].StopReason = results[first].StopReason
-			results[i].Epoch = results[first].Epoch
-			results[i].Err = results[first].Err
-			if results[first].Err == nil {
-				results[i].Cached = true
-				e.noteDeduped()
-				e.record(name, 0, true)
-			}
-		}
-	}
 	var missTargets []uncertain.NodeID
-	for _, t := range byTarget.order {
-		grp := byTarget.groups[t]
+	var misses [][]int // each miss target's positions, representative first
+	for j, t := range byTarget.order {
+		grp := byTarget.groups[j]
 		if cacheable {
-			if v, hit := e.cache.get(cacheKey{s: s, t: t, est: name, k: k, eps: u.eps, epoch: st.srcTag(s)}); hit {
-				results[grp[0]].Reliability = v.r
-				results[grp[0]].SamplesUsed = v.samples
-				results[grp[0]].StopReason = v.reason
-				results[grp[0]].Cached = true
-				results[grp[0]].Epoch = v.epoch
-				e.record(name, 0, true)
-				reuse(grp[0], grp[1:])
+			if v, hit := e.cache.get(keyFor(t)); hit {
+				e.fillHit(&results[grp[0]], name, v)
+				e.fanOut(results, grp[0], grp[1:])
 				continue
 			}
 		}
 		missTargets = append(missTargets, t)
+		misses = append(misses, grp)
 	}
-	if len(missTargets) == 0 {
+	switch len(missTargets) {
+	case 0:
+		return
+	case 1:
+		// A lone target gains nothing from amortization; answer it on the
+		// per-query path, on the group's default chunk schedule so its
+		// cache key matches the lockstep path's entries for the same
+		// (s, t, k, ε).
+		first := misses[0][0]
+		q := queries[first]
+		var opts core.AdaptiveOptions
+		if anytime {
+			opts = e.adaptiveOpts(ctx, q, dl, decision{})
+		}
+		e.compute(ctx, st, name, q, dl, opts, e.queryKey(st, name, q, opts), &results[first])
+		e.fanOut(results, first, misses[0][1:])
 		return
 	}
-
-	p := st.pools[name]
-	perr := e.withReplica(p, func(inst core.Estimator) {
-		e.runSharedOn(ctx, st, inst, u, queries, results, byTarget, missTargets, dl, anytime, cacheable, reuse)
+	var elapsed time.Duration
+	perr := e.withReplica(st.pools[name], func(inst core.Estimator) {
+		if faultinject.Enabled() {
+			// The whole group is one traversal, so it faults (or drags) as
+			// a unit, keyed by the group's target-less stream seed.
+			fkey := e.querySeedFor(name, s, s, k)
+			faultinject.Sleep(faultinject.SlowReplica, fkey)
+			faultinject.MaybePanic(faultinject.EstimatorPanic, fkey)
+		}
+		start := time.Now()
+		opts := core.AdaptiveOptions{Eps: u.eps, MaxK: k, Deadline: dl, Ctx: ctx}
+		switch est := inst.(type) { // factoryFor guarantees the concrete types
+		case *core.ProbTreeQuerier:
+			// Streamed so only one spliced graph is alive at a time, however
+			// wide the group.
+			est.QueryGraphEach(s, missTargets, func(i int, sq core.SplicedQuery) {
+				// The same per-query reseed as runOne, so the inner sampler
+				// stream — and with it the estimate — matches a single
+				// Estimate call bit for bit.
+				est.Reseed(e.querySeedFor(name, s, missTargets[i], k))
+				res := &results[misses[i][0]]
+				if anytime {
+					e.fillAnytime(ctx, res, k, core.AdaptiveEstimate(est.SplicedSampler(sq), opts))
+					return
+				}
+				res.Reliability, res.SamplesUsed = est.EstimateSpliced(sq, k), k
+			})
+		case core.SourceSampler:
+			// PackMC reseeds target-less exactly as runOne does; the BFS
+			// querier has no per-query stream (its worlds are the index's).
+			if sd, ok := est.(core.Seeder); ok {
+				sd.Reseed(e.querySeedFor(name, s, s, k))
+			}
+			if anytime {
+				for i, ar := range core.AdaptiveEstimateAll(est.AllSampler(s), missTargets, opts) {
+					e.fillAnytime(ctx, &results[misses[i][0]], k, ar)
+				}
+				break
+			}
+			all := est.EstimateAll(s, k)
+			for i, t := range missTargets {
+				res := &results[misses[i][0]]
+				res.Reliability, res.SamplesUsed = all[t], k
+			}
+		default:
+			panic(fmt.Sprintf("engine: estimator %q grouped without an amortized path", name))
+		}
+		elapsed = time.Since(start)
 	})
 	if perr != nil {
 		// The replica faulted (and was discarded): every miss target of
 		// the group fails with the typed error — the cache-served targets
 		// above already have their answers and keep them.
-		for _, t := range missTargets {
-			for _, i := range byTarget.groups[t] {
-				results[i].Err = perr
+		for _, grp := range misses {
+			for _, i := range grp {
+				results[i] = Response{Request: results[i].Request, Used: name, Epoch: st.epoch, Err: perr}
 			}
 		}
-	}
-}
-
-// runSharedOn is runShared's borrowed-replica body: the amortized
-// multi-target traversal (or the lone-target fallback) on an instance the
-// caller owns for the duration.
-func (e *Engine) runSharedOn(ctx context.Context, st *epochState, inst core.Estimator, u workUnit, queries []Query, results []Result, byTarget *orderedGroups[uncertain.NodeID], missTargets []uncertain.NodeID, dl time.Time, anytime, cacheable bool, reuse func(int, []int)) {
-	name, s, k := u.est, u.s, u.k
-	if faultinject.Enabled() {
-		// The whole group is one traversal, so it faults (or drags) as a
-		// unit, keyed by the group's target-less stream seed.
-		fkey := e.querySeedFor(name, s, s, k)
-		faultinject.Sleep(faultinject.SlowReplica, fkey)
-		faultinject.MaybePanic(faultinject.EstimatorPanic, fkey)
-	}
-	if len(missTargets) == 1 {
-		// A lone target gains nothing from amortization; answer it like
-		// any other estimator would — on the group path's default chunk
-		// schedule (decision{}), so its cache key matches the lockstep
-		// path's entries for the same (s, t, k, ε).
-		grp := byTarget.groups[missTargets[0]]
-		q0 := queries[grp[0]]
-		var opts core.AdaptiveOptions
-		if anytime {
-			opts = e.adaptiveOpts(ctx, q0, dl, decision{})
-		}
-		e.runBorrowed(ctx, st, inst, name, q0, dl, opts, e.queryKey(st, name, q0, opts), &results[grp[0]])
-		reuse(grp[0], grp[1:])
 		return
 	}
-	start := time.Now()
-	vals := make([]float64, len(missTargets))
-	samples := make([]int, len(missTargets))
-	reasons := make([]string, len(missTargets))
-	for i := range samples {
-		samples[i] = k // the fixed paths below draw the full budget
-	}
-	opts := core.AdaptiveOptions{Eps: u.eps, MaxK: k, Deadline: dl, Ctx: ctx}
-	fillAdaptive := func(ars []core.AdaptiveResult) {
-		for i, ar := range ars {
-			vals[i] = ar.Estimate
-			samples[i] = ar.Samples
-			reasons[i] = string(ar.Reason)
-			e.recordAnytime(k, ar.Samples)
-		}
-	}
-	switch est := inst.(type) { // factoryFor guarantees the concrete types
-	case *core.BFSQuerier:
-		if anytime {
-			fillAdaptive(core.AdaptiveEstimateAll(est.AllSampler(s), missTargets, opts))
-			break
-		}
-		all := est.EstimateAll(s, k)
-		for i, t := range missTargets {
-			vals[i] = all[t]
-		}
-	case *core.ProbTreeQuerier:
-		// Streamed so only one spliced graph is alive at a time, however
-		// wide the group.
-		est.QueryGraphEach(s, missTargets, func(i int, sq core.SplicedQuery) {
-			// The same per-query reseed as runOne, so the inner sampler
-			// stream — and with it the estimate — matches a single
-			// Estimate call bit for bit.
-			est.Reseed(e.querySeedFor(name, s, missTargets[i], k))
-			if anytime {
-				ar := core.AdaptiveEstimate(est.SplicedSampler(sq), opts)
-				vals[i] = ar.Estimate
-				samples[i] = ar.Samples
-				reasons[i] = string(ar.Reason)
-				e.recordAnytime(k, ar.Samples)
-				return
-			}
-			vals[i] = est.EstimateSpliced(sq, k)
-		})
-	case *core.PackMC:
-		// The same target-less reseed as runOne uses for PackMC, so the
-		// pack sweep draws the exact world ensemble each single query
-		// would, and EstimateAll[t] matches Estimate(s, t, k) bit for bit.
-		est.Reseed(e.querySeedFor(name, s, s, k))
-		if anytime {
-			fillAdaptive(core.AdaptiveEstimateAll(est.AllSampler(s), missTargets, opts))
-			break
-		}
-		all := est.EstimateAll(s, k)
-		for i, t := range missTargets {
-			vals[i] = all[t]
-		}
-	case *core.WidePackMC:
-		// Identical contract at 256/512 lanes: counter-based streams make
-		// the wide group sweep bit-identical to per-target queries.
-		est.Reseed(e.querySeedFor(name, s, s, k))
-		if anytime {
-			fillAdaptive(core.AdaptiveEstimateAll(est.AllSampler(s), missTargets, opts))
-			break
-		}
-		all := est.EstimateAll(s, k)
-		for i, t := range missTargets {
-			vals[i] = all[t]
-		}
-	default:
-		panic(fmt.Sprintf("engine: estimator %q grouped without an amortized path", name))
-	}
-	elapsed := time.Since(start)
 	// Each query's Latency reports its amortized share of the shared
 	// group, but the router sees the full group cost once: a single
 	// adaptive query routed here would pay all of it.
 	share := elapsed / time.Duration(len(missTargets))
 	e.router.observe(name, elapsed.Seconds())
-	canceled := ctx.Err()
-	for i, t := range missTargets {
-		grp := byTarget.groups[t]
-		first := grp[0]
-		results[first].Reliability = vals[i]
-		results[first].SamplesUsed = samples[i]
-		results[first].StopReason = reasons[i]
-		results[first].Latency = share
-		if reasons[i] == string(core.StopCanceled) {
-			results[first].Err = canceled
-		} else if cacheable {
-			e.cache.put(cacheKey{s: s, t: t, est: name, k: k, eps: u.eps, epoch: st.srcTag(s)},
-				cacheVal{r: vals[i], samples: samples[i], reason: reasons[i], epoch: st.epoch})
+	for i, grp := range misses {
+		res := &results[grp[0]]
+		res.Latency = share
+		if res.Err == nil && cacheable {
+			e.cache.put(keyFor(missTargets[i]), answerOf(res, st.epoch))
 		}
 		e.record(name, share.Seconds(), false)
-		reuse(first, grp[1:])
+		e.fanOut(results, grp[0], grp[1:])
 	}
 }
 

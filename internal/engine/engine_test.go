@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -119,31 +120,62 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSingle: EstimateBatch must return exactly what
-// per-query Estimate calls return, including for the amortized BFS
-// Sharing path.
+// TestBatchMatchesSingle: EstimateBatch, over the whole workload and as
+// batches of one, must return field for field (Latency aside) what
+// per-query Estimate calls return — amortized source groups, routing, the
+// bounds pseudo-estimator, anytime stopping, every non-plain kind and
+// rejected queries included. Routed queries are compared only when the
+// latency-dependent router picked the same estimator on both engines.
+// Estimate must not count as a batch in Stats.
 func TestBatchMatchesSingle(t *testing.T) {
 	cfg := Config{Workers: 4, MaxK: 300, Seed: 42, CacheSize: 0}
 	single := testEngine(t, cfg)
 	batch := testEngine(t, cfg)
-	queries := testQueries(single.Names())
-	want := make([]float64, len(queries))
-	for i, q := range queries {
-		res := single.Estimate(context.Background(), q)
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		want[i] = res.Reliability
+	ones := testEngine(t, cfg)
+	queries := testQueries(append(single.Names(), BoundsName, ""))
+	for _, name := range []string{"MC", "PackMC", "BFSSharing", "ProbTree", "RSS", ""} {
+		queries = append(queries,
+			Query{S: 0, T: 5, K: 300, Eps: 0.2, Estimator: name},
+			Query{S: 0, T: 6, K: 300, Eps: 0.2, Estimator: name})
 	}
-	results := batch.EstimateBatch(context.Background(), queries)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	queries = append(queries,
+		Query{Kind: KindDistance, S: 0, T: 6, K: 100, D: 3},
+		Query{Kind: KindTopK, S: 1, TopK: 3, K: 100},
+		Query{Kind: KindSingleSource, S: 2, K: 100},
+		Query{Kind: KindKTerminal, S: 0, Targets: []uncertain.NodeID{4, 5}, K: 100},
+		Query{S: 0, T: 5, K: 100, Evidence: Evidence{Include: []uncertain.EdgeID{2}, Exclude: []uncertain.EdgeID{7}}},
+		Query{S: 0, T: 5, K: 500, Estimator: "MC"}, // rejected: budget above MaxK
+	)
+	ctx := context.Background()
+	want := make([]Response, len(queries))
+	for i, q := range queries {
+		want[i] = single.Estimate(ctx, q)
+	}
+	if st := single.Stats(); st.Batches != 0 || st.BatchQueries != 0 {
+		t.Errorf("Estimate counted as a batch: batches %d, batch queries %d", st.Batches, st.BatchQueries)
+	}
+	same := func(a, b Response) bool {
+		a.Latency, b.Latency = 0, 0
+		aerr, berr := a.Err, b.Err
+		a.Err, b.Err = nil, nil
+		return (aerr == nil) == (berr == nil) && reflect.DeepEqual(a, b)
+	}
+	check := func(how string, i int, got Response) {
+		if queries[i].Estimator == "" && got.Used != want[i].Used {
+			return
 		}
-		if r.Reliability != want[i] {
-			t.Errorf("query %d (%+v): batch %v vs single %v",
-				i, queries[i], r.Reliability, want[i])
+		if !same(got, want[i]) {
+			t.Errorf("query %d (%+v): %s\n got %+v\nwant %+v", i, queries[i], how, got, want[i])
 		}
+	}
+	for i, r := range batch.EstimateBatch(ctx, queries) {
+		check("batch", i, r)
+	}
+	for i, q := range queries {
+		check("batch of one", i, ones.EstimateBatch(ctx, []Query{q})[0])
+	}
+	if want[len(want)-1].Err == nil {
+		t.Error("over-budget query accepted")
 	}
 }
 

@@ -12,14 +12,13 @@ import (
 
 // Execution of the non-plain request kinds: distance-constrained
 // reachability, top-k ranking, single-source, k-terminal, and any kind
-// conditioned on evidence. Plain s-t reliability (no evidence) keeps the
-// original engine paths in engine.go — routing, source-grouped batching —
-// untouched and bit-identical; everything else funnels through runKind,
-// which reuses the same machinery at the next level up: pooled estimator
-// replicas (per-d pools for distance), the LRU result cache keyed on the
-// full request identity (kind, parameters, evidence fingerprint), anytime
-// sequential stopping over the core sampler sessions, and per-estimator
-// stats accounting.
+// conditioned on evidence. Plain s-t reliability (no evidence) runs on the
+// spine's own units in engine.go (routing, source groups); everything else
+// is one kindRequest unit answered by runKind, which reuses the same
+// machinery at the next level up: pooled estimator replicas (per-d pools
+// for distance), the LRU result cache keyed on the full request identity
+// (kind, parameters, evidence fingerprint), anytime sequential stopping
+// over the core sampler sessions, and per-estimator stats accounting.
 
 // ktName is the display/cache name of the k-terminal sampler, and distName
 // builds the per-hop-bound name distance pools and stats rows use. Neither
@@ -178,14 +177,7 @@ func (e *Engine) runKind(ctx context.Context, st *epochState, q Request, res *Re
 	key := e.kindKey(st, q, name)
 	if dl.IsZero() {
 		if v, ok := e.cache.get(key); ok {
-			res.Reliability = v.r
-			res.Reliabilities = v.all
-			res.TopTargets = v.top
-			res.SamplesUsed = v.samples
-			res.StopReason = v.reason
-			res.Cached = true
-			res.Epoch = v.epoch
-			e.record(name, 0, true)
+			e.fillHit(res, name, v)
 			return
 		}
 	}
@@ -198,10 +190,7 @@ func (e *Engine) runKind(ctx context.Context, st *epochState, q Request, res *Re
 	}
 	res.Latency = time.Since(start)
 	if res.Err == nil && dl.IsZero() {
-		e.cache.put(key, cacheVal{
-			r: res.Reliability, all: res.Reliabilities, top: res.TopTargets,
-			samples: res.SamplesUsed, reason: res.StopReason, epoch: st.epoch,
-		})
+		e.cache.put(key, answerOf(res, st.epoch))
 	}
 	e.record(name, res.Latency.Seconds(), false)
 }
@@ -262,25 +251,18 @@ func stSampler(inst core.Estimator, q Request) func() core.Sampler {
 	return func() core.Sampler { return core.NewSampler(inst, q.S, q.T) }
 }
 
-// runScalar answers the scalar kinds (s-t under evidence, distance,
-// k-terminal): one fixed-budget call, or an anytime session under the
-// request's stopping rules. The fixed path calls the estimator's own
-// Estimate, so it stays bit-identical to a hand-constructed run with the
-// same stream seed.
+// runScalar answers the scalar kinds (plain s-t through runOne, s-t under
+// evidence, distance, k-terminal): one fixed-budget call, or an anytime
+// session under the request's stopping rules. The fixed path calls the
+// estimator's own Estimate, so it stays bit-identical to a
+// hand-constructed run with the same stream seed.
 func (e *Engine) runScalar(ctx context.Context, q Request, est func(s, t uncertain.NodeID, k int) float64, open func() core.Sampler, anytime bool, opts core.AdaptiveOptions, res *Response) {
 	if !anytime {
 		res.Reliability = est(q.S, q.T, q.K)
 		res.SamplesUsed = q.K
 		return
 	}
-	ar := core.AdaptiveEstimate(open(), opts)
-	res.Reliability = ar.Estimate
-	res.SamplesUsed = ar.Samples
-	res.StopReason = string(ar.Reason)
-	if ar.Reason == core.StopCanceled {
-		res.Err = ctx.Err()
-	}
-	e.recordAnytime(q.K, ar.Samples)
+	e.fillAnytime(ctx, res, q.K, core.AdaptiveEstimate(open(), opts))
 }
 
 // runSourceRooted answers top-k and single-source: one shared multi-target
@@ -332,12 +314,7 @@ func (e *Engine) sourceRootedOn(ctx context.Context, name string, g *uncertain.G
 		}
 		tk := core.AdaptiveTopK(ss.AllSampler(q.S), otherNodes(g, q.S), q.TopK, opts)
 		res.TopTargets = tk.Top
-		res.SamplesUsed = tk.Samples
-		res.StopReason = string(tk.Reason)
-		if tk.Reason == core.StopCanceled {
-			res.Err = ctx.Err()
-		}
-		e.recordAnytime(q.K, tk.Samples)
+		e.fillAnytime(ctx, res, q.K, core.AdaptiveResult{Samples: tk.Samples, Reason: tk.Reason})
 		return
 	}
 	// Single-source.
@@ -360,12 +337,7 @@ func (e *Engine) sourceRootedOn(ctx context.Context, name string, g *uncertain.G
 		reason = worseReason(reason, ar.Reason)
 	}
 	res.Reliabilities = all
-	res.SamplesUsed = maxSamples
-	res.StopReason = string(reason)
-	if reason == core.StopCanceled {
-		res.Err = ctx.Err()
-	}
-	e.recordAnytime(q.K, maxSamples)
+	e.fillAnytime(ctx, res, q.K, core.AdaptiveResult{Samples: maxSamples, Reason: reason})
 }
 
 // otherNodes lists every node except s — the candidate (or target) set of

@@ -111,30 +111,22 @@ func (r *relabelMap) responseOut(res *Response, orig Request) {
 	}
 }
 
-// Estimate answers one query; see estimateInternal for the semantics.
-// Under DegreeRelabel it translates the request into the internal rename
-// and the response back out, so callers never see internal ids.
-func (e *Engine) Estimate(ctx context.Context, q Request) Response {
-	if e.relab == nil {
-		return e.estimateInternal(ctx, q)
+// execute is the query surface's entry into the execution spine (run,
+// engine.go), shared by Estimate and EstimateBatch. Under DegreeRelabel
+// every query is translated in and every result translated out,
+// preserving positional alignment, so callers never see internal ids.
+func (e *Engine) execute(ctx context.Context, queries []Query) []Result {
+	if ctx == nil {
+		ctx = context.Background() //lint:allow ctxflow nil-ctx compatibility defaulting at the API boundary itself
 	}
-	res := e.estimateInternal(ctx, e.relab.requestIn(q))
-	e.relab.responseOut(&res, q)
-	return res
-}
-
-// EstimateBatch answers a set of queries concurrently; see
-// estimateBatchInternal. Under DegreeRelabel every query is translated in
-// and every result translated out, preserving positional alignment.
-func (e *Engine) EstimateBatch(ctx context.Context, queries []Query) []Result {
 	if e.relab == nil {
-		return e.estimateBatchInternal(ctx, queries)
+		return e.run(ctx, queries)
 	}
 	internal := make([]Query, len(queries))
 	for i, q := range queries {
 		internal[i] = e.relab.requestIn(q)
 	}
-	results := e.estimateBatchInternal(ctx, internal)
+	results := e.run(ctx, internal)
 	for i := range results {
 		e.relab.responseOut(&results[i], queries[i])
 	}

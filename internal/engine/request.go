@@ -165,9 +165,12 @@ type Response struct {
 	// false, including answers served under load without shedding
 	// precision.
 	Degraded bool
-	// Latency covers routing plus estimation for single Estimate calls;
-	// batch results report each query's estimation (or amortized
-	// traversal) share, with the parallel routing phase excluded.
+	// Latency is the time spent computing this answer, the same for
+	// Estimate and EstimateBatch: the estimator run, or its even share of
+	// a source group's shared traversal, or the bounds walk of a
+	// bounds-answered query. Admission queueing and the routing of a
+	// sampled query are excluded; reused answers (cache hits, duplicates
+	// within one call) and rejected queries report 0.
 	Latency time.Duration
 	// SamplesUsed is the number of samples actually drawn: K for a fixed
 	// query, possibly fewer for an anytime one, 0 for bounds-answered and

@@ -347,3 +347,22 @@ func TestBatchCancelMidFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestLoneQueryInjectsOnce: a query computed alone meets each injection
+// point once, at its own stream seed, whether Estimate carried it or it
+// was the only target of a source group in EstimateBatch.
+func TestLoneQueryInjectsOnce(t *testing.T) {
+	inj := faultinject.NewSeeded(1).WithRate(faultinject.SlowReplica, 1).WithDelay(time.Microsecond)
+	defer faultinject.Set(inj)()
+	e := testEngine(t, Config{Seed: 42, MaxK: 500, Workers: 2})
+	ctx := context.Background()
+	for _, name := range []string{"BFSSharing", "ProbTree", "PackMC"} {
+		q := Query{S: 0, T: 5, K: 100, Estimator: name}
+		before := inj.Fired(faultinject.SlowReplica)
+		e.Estimate(ctx, q)
+		e.EstimateBatch(ctx, []Query{q})
+		if got := inj.Fired(faultinject.SlowReplica) - before; got != 2 {
+			t.Errorf("%s: %d slow-replica injections for two lone queries, want 2", name, got)
+		}
+	}
+}
