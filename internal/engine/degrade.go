@@ -26,10 +26,10 @@ const (
 // degradeRequest applies ladder level lvl to q, returning the request to
 // actually execute and whether it differs from what was asked. Level 1
 // widens ε (doubled, capped) or halves K (floored); level 2 additionally
-// sends routed plain queries to the cheapest candidate instead of the
-// adaptive choice; level 3 answers plain evidence-free queries from the
-// analytic bounds alone and treats every other kind at level 2. The
-// request stays valid by construction: budgets only shrink, ε stays
+// pins routed plain queries to the router's measured-cheapest candidate,
+// skipping the bounds walk; level 3 answers plain evidence-free queries
+// from the analytic bounds alone and treats every other kind at level 2.
+// The request stays valid by construction: budgets only shrink, ε stays
 // inside [0, 1), and the forced estimators are always configured.
 func (e *Engine) degradeRequest(q Request, lvl int) (Request, bool) {
 	if lvl <= 0 {
@@ -54,10 +54,9 @@ func (e *Engine) degradeRequest(q Request, lvl int) (Request, bool) {
 		q.K, changed = k, true
 	}
 	if lvl >= 2 && q.plainReliability() && q.Estimator == "" {
-		// pick with width 0 is the router's latency-first choice: the
-		// measured-cheapest candidate (or the latency prior's best before
-		// measurements exist).
-		q.Estimator, changed = e.router.pick(0), true
+		// Pin the measured-cheapest candidate, so the degraded query
+		// skips the bounds walk and never lands on one being explored.
+		q.Estimator, changed = e.router.cheapest(), true
 	}
 	return q, changed
 }
@@ -100,7 +99,7 @@ func (e *Engine) costEstimate(st *epochState, q Request) int64 {
 			switch width := hi - lo; {
 			case width <= e.router.cutoff:
 				cost = 1
-			case q.anytime() && width <= e.router.hardWidth:
+			case q.anytime() && width <= e.cfg.HardWidth:
 				if cost > 1 {
 					cost /= 2
 				}

@@ -118,8 +118,10 @@ type Config struct {
 	// is answered by the interval midpoint without sampling; <= 0 means
 	// 0.02.
 	BoundsCutoff float64
-	// HardWidth is the bounds width above which routing prefers accuracy
-	// over speed; <= 0 means 0.25.
+	// HardWidth is the bounds width above which a routed anytime query
+	// counts as hard: it starts with the larger anytime chunk, and its
+	// admission cost is not halved as an easy pair's is. It does not
+	// steer which estimator is routed; <= 0 means 0.25.
 	HardWidth float64
 	// Preloaded supplies pre-built offline indexes (typically loaded from
 	// a snapshot) for the index-based estimator pools, which then skip
@@ -272,6 +274,9 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 2000
 	}
+	if cfg.HardWidth <= 0 {
+		cfg.HardWidth = defaultHardWidth
+	}
 	if len(cfg.Estimators) == 0 {
 		cfg.Estimators = DefaultEstimators()
 	}
@@ -312,17 +317,23 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	// routing: steering adaptive traffic at a single-replica pool would
 	// serialize concurrent queries behind one instance — exactly the
 	// bottleneck the engine exists to remove. They stay reachable by
-	// explicit request.
+	// explicit request. The pack widths are one kernel (bit-identical
+	// for one seed), so when PackMC256 is built it is their only
+	// candidate: routing to several widths would grow a pool, each
+	// replica with its own kernel scratch, per width for no gain. 256
+	// lanes measure no slower than 64 or 512 on either gate graph.
+	_, routeOnePack := st.pools[pack256Name]
 	var candidates []string
 	for _, name := range e.names {
-		if st.pools[name].capacity >= cfg.Workers {
-			candidates = append(candidates, name)
+		if st.pools[name].capacity < cfg.Workers || routeOnePack && packLike(name) && name != pack256Name {
+			continue
 		}
+		candidates = append(candidates, name)
 	}
 	if len(candidates) == 0 {
 		candidates = e.names
 	}
-	e.router = newRouter(candidates, cfg.BoundsCutoff, cfg.HardWidth, memoSize)
+	e.router = newRouter(candidates, cfg.BoundsCutoff, memoSize)
 	e.adm = newAdmission(cfg.Admission)
 	return e, nil
 }
@@ -624,7 +635,7 @@ func (e *Engine) adaptiveOpts(ctx context.Context, q Query, dl time.Time, d deci
 	}
 	if d.width > 0 { // routed: the bounds interval is known
 		opts.Prior = d.prior
-		if d.hard(e.router.hardWidth) {
+		if d.width > e.cfg.HardWidth {
 			opts.Chunk = hardChunk
 		} else {
 			opts.Chunk = easyChunk
@@ -634,11 +645,13 @@ func (e *Engine) adaptiveOpts(ctx context.Context, q Query, dl time.Time, d deci
 }
 
 // easyChunk and hardChunk are the anytime layer's starting chunk sizes by
-// routed hard/easy classification; unclassified (named-estimator) queries
-// use the core default.
+// routed hard/easy classification (bounds wider than Config.HardWidth,
+// defaultHardWidth unless set, are hard); unclassified (named-estimator)
+// queries use the core default.
 const (
-	easyChunk = 256
-	hardChunk = 1024
+	easyChunk        = 256
+	hardChunk        = 1024
+	defaultHardWidth = 0.25
 )
 
 // queryKey builds the result-cache key for a query running under the
@@ -1356,8 +1369,11 @@ func (e *Engine) record(name string, seconds float64, cached bool) {
 
 // EstimatorStats reports one estimator's share of engine traffic.
 type EstimatorStats struct {
-	Queries       uint64  `json:"queries"`
-	AvgLatencyMs  float64 `json:"avgLatencyMs"`
+	Queries      uint64  `json:"queries"`
+	AvgLatencyMs float64 `json:"avgLatencyMs"`
+	// EwmaLatencyMs is the router's latency estimate: the mean over the
+	// estimator's first 256 computed queries, then an EWMA over a
+	// 256-query horizon. 0 until the first computed query.
 	EwmaLatencyMs float64 `json:"ewmaLatencyMs"`
 	Routed        uint64  `json:"routed"`
 	PoolReplicas  int     `json:"poolReplicas"`

@@ -3,13 +3,17 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"relcomp/internal/core"
 	"relcomp/internal/datasets"
+	"relcomp/internal/exact"
+	"relcomp/internal/rng"
 	"relcomp/internal/uncertain"
 )
 
@@ -125,7 +129,10 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 // per-query Estimate calls return — amortized source groups, routing, the
 // bounds pseudo-estimator, anytime stopping, every non-plain kind and
 // rejected queries included. Routed queries are compared only when the
-// latency-dependent router picked the same estimator on both engines.
+// latency-dependent router picked the same estimator on both engines. A
+// routed query that the batch resolved onto an identical named query
+// earlier in it is that query's duplicate: it must carry the named
+// query's batch answer, reported as reused.
 // Estimate must not count as a batch in Stats.
 func TestBatchMatchesSingle(t *testing.T) {
 	cfg := Config{Workers: 4, MaxK: 300, Seed: 42, CacheSize: 0}
@@ -168,7 +175,26 @@ func TestBatchMatchesSingle(t *testing.T) {
 			t.Errorf("query %d (%+v): %s\n got %+v\nwant %+v", i, queries[i], how, got, want[i])
 		}
 	}
-	for i, r := range batch.EstimateBatch(ctx, queries) {
+	// Separate Estimate calls on the cache-less engine compute a routed
+	// query that a batch answers as the duplicate of an identical named
+	// query (fanOut reports duplicates as Cached, cache or no cache).
+	got := batch.EstimateBatch(ctx, queries)
+	for i, r := range got {
+		if queries[i].Estimator == "" && r.Cached && !want[i].Cached {
+			named := queries[i]
+			named.Estimator = r.Used
+			j := slices.IndexFunc(queries[:i], func(q Query) bool { return reflect.DeepEqual(q, named) })
+			if j < 0 {
+				t.Errorf("query %d (%+v): batch reports Cached with no identical named query before it", i, queries[i])
+				continue
+			}
+			dup := got[j]
+			dup.Request, dup.Cached, dup.Latency = want[i].Request, true, 0
+			if !same(r, dup) {
+				t.Errorf("query %d (%+v): not the duplicate of query %d\n got %+v\nwant %+v", i, queries[i], j, r, dup)
+			}
+			continue
+		}
 		check("batch", i, r)
 	}
 	for i, q := range queries {
@@ -245,34 +271,200 @@ func TestAdaptiveRouting(t *testing.T) {
 	}
 }
 
-// TestRouterPrefersAccuracyOnWideBounds pins the paper-guided policy: a
-// maximally wide interval routes to RSS (the accuracy ranking's best).
+// TestRouterPrefersAccuracyOnWideBounds pins the routing policy. Its
+// name is kept from the policy it used to pin, which sent wide-bounds
+// queries to the most accurate estimator, RSS, whatever they cost; routing
+// now follows measured cost alone.
 func TestRouterPrefersAccuracyOnWideBounds(t *testing.T) {
-	r := newRouter(DefaultEstimators(), 0.02, 0.25, 0)
-	if got := r.pick(0.9); got != "RSS" {
-		t.Errorf("wide bounds routed to %s, want RSS", got)
+	// Unmeasured candidates are explored in engine order.
+	names := []string{"RSS", "ProbTree", "MC"}
+	r := newRouter(names, 0.02, 16)
+	for i, name := range names {
+		if got := r.pick(); got != name {
+			t.Fatalf("exploration step %d chose %s, want %s", i, got, name)
+		}
+		r.observe(name, []float64{0.5, 0.2, 0.001}[i])
 	}
-	// Narrow-but-not-pinched bounds with no latency observations fall back
-	// to the paper's online-time prior: ProbTree.
-	if got := r.pick(0.1); got != "ProbTree" {
-		t.Errorf("narrow bounds routed to %s, want ProbTree", got)
+	// Once every candidate is measured, the cheapest wins, whatever the
+	// bounds width: wide, hard-classified bounds no longer route to RSS.
+	g := uncertain.NewBuilder(2).Build()
+	for tag, b := range [][2]float64{{0.05, 0.95}, {0, 1}, {0.4, 0.5}} {
+		r.memo.put(cacheKey{s: 0, t: 1, epoch: uint64(tag)}, b)
+		if d := r.route(g, uint64(tag), 0, 1); d.estimator != "MC" {
+			t.Errorf("bounds %v routed to %q, want the cheapest, MC", b, d.estimator)
+		}
 	}
-	// Unmeasured candidates are explored before measured EWMAs are
-	// trusted: once ProbTree has a sample, the next-best unmeasured
-	// candidate by the online-time prior (the widest word-packed kernel)
-	// is tried.
-	r.observe("ProbTree", 0.5)
-	if got := r.pick(0.1); got != "PackMC512" {
-		t.Errorf("exploration chose %s, want PackMC512", got)
+	// The bit-identical pack widths are one candidate: with PackMC256
+	// built, PackMC and PackMC512 are never routed.
+	e := testEngine(t, Config{Workers: 2, MaxK: 300, Seed: 42})
+	want := []string{"MC", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS", "PackMC256"}
+	if !reflect.DeepEqual(e.router.candidates, want) {
+		t.Errorf("routing candidates %v, want %v", e.router.candidates, want)
 	}
-	// Once every candidate is measured, the lowest EWMA wins — routing
-	// can shift away from a slow first choice.
-	r2 := newRouter([]string{"ProbTree", "MC"}, 0.02, 0.25, 0)
-	r2.observe("ProbTree", 0.5)
-	r2.observe("MC", 0.001)
-	if got := r2.pick(0.1); got != "MC" {
-		t.Errorf("measured-latency routing chose %s, want MC", got)
+}
+
+// TestRouterRoutesOnePackWidth: without PackMC256 built, another pack
+// width is routable; with it built, the other widths still answer when
+// named.
+func TestRouterRoutesOnePackWidth(t *testing.T) {
+	only512 := testEngine(t, Config{Workers: 2, MaxK: 300, Seed: 42, Estimators: []string{pack512Name}})
+	if got := only512.router.candidates; !reflect.DeepEqual(got, []string{pack512Name}) {
+		t.Errorf("routing candidates %v, want [%s]", got, pack512Name)
 	}
+	if res := only512.Estimate(context.Background(), Query{S: 0, T: 5, K: 200}); res.Err != nil {
+		t.Fatal(res.Err)
+	} else if res.Used != pack512Name && res.Used != BoundsName {
+		t.Errorf("routed query answered by %q", res.Used)
+	}
+
+	e := testEngine(t, Config{Workers: 2, MaxK: 300, Seed: 42})
+	for _, name := range []string{packName, pack512Name} {
+		res := e.Estimate(context.Background(), Query{S: 0, T: 5, K: 200, Estimator: name})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", name, res.Err)
+		}
+		if res.Used != name || res.Reliability < 0 || res.Reliability > 1 {
+			t.Errorf("%s: answered %v by %q", name, res.Reliability, res.Used)
+		}
+	}
+}
+
+// TestRouterLatencyDoesNotFlip: a few costly queries must not lift a
+// well-measured cheap estimator above a dearer one's stale estimate (a
+// 5-query-deep EWMA put MC at 2.95 ms here and routed to LP+), yet the
+// estimate must still follow a lasting change in cost.
+func TestRouterLatencyDoesNotFlip(t *testing.T) {
+	r := newRouter([]string{"LP+", "MC"}, 0.02, 16)
+	observe := func(name string, n int, secs float64) {
+		for i := 0; i < n; i++ {
+			r.observe(name, secs)
+		}
+	}
+	observe("LP+", 30, 1.5e-3)
+	observe("MC", 200, 1.0e-3)
+	observe("MC", 3, 5e-3)
+	if got := r.pick(); got != "MC" {
+		t.Errorf("after three costly MC queries routed to %s (MC %v s, LP+ %v s), want MC",
+			got, r.latency["MC"].secs, r.latency["LP+"].secs)
+	}
+
+	const steady = 4e-3
+	from := r.latency["MC"].secs
+	observe("MC", 1000, steady)
+	if moved := (r.latency["MC"].secs - from) / (steady - from); moved < 0.95 {
+		t.Errorf("after 1000 samples the estimate moved %.3f of the way to the new cost, want >= 0.95", moved)
+	}
+	if got := r.pick(); got != "LP+" {
+		t.Errorf("after MC's cost rose routed to %s, want LP+", got)
+	}
+}
+
+// TestRouterRetriesUnderSampledCandidates: a cheap candidate whose first
+// sample was unlucky must not be shut out for good, while a candidate
+// whose samples show it dearer stops being tried, at once when it is
+// far dearer.
+func TestRouterRetriesUnderSampledCandidates(t *testing.T) {
+	cost := map[string]float64{"MC": 1.0e-3, "LP+": 1.8e-3, "RSS": 30e-3}
+	r := newRouter([]string{"MC", "LP+", "RSS"}, 0.02, 16)
+	r.observe("MC", 2.1e-3) // a costly pair
+	r.observe("LP+", cost["LP+"])
+	r.observe("RSS", cost["RSS"])
+	picked := map[string]int{}
+	for i := 0; i < 2000; i++ {
+		name := r.pick()
+		r.observe(name, cost[name])
+		if i >= 1000 {
+			picked[name]++
+		}
+	}
+	if picked["MC"] != 1000 {
+		t.Errorf("last 1000 picks %v (MC %v s, LP+ %v s), want all MC", picked, r.latency["MC"].secs, r.latency["LP+"].secs)
+	}
+	if n := r.latency["RSS"].n; n != 1 {
+		t.Errorf("RSS, 30x dearer, was tried %d times, want once", n)
+	}
+}
+
+// TestRouterDegradesToCheapest: the degradation ladder's choice is the
+// lowest measured latency, never a candidate still being explored or
+// retried on few samples.
+func TestRouterDegradesToCheapest(t *testing.T) {
+	r := newRouter([]string{"MC", "LP+", "RSS"}, 0.02, 16)
+	if got := r.cheapest(); got != "MC" {
+		t.Errorf("nothing measured: cheapest %s, want the first candidate, MC", got)
+	}
+	r.observe("RSS", 30e-3)
+	if got, explore := r.cheapest(), r.pick(); got != "RSS" || explore != "MC" {
+		t.Errorf("only RSS measured: cheapest %s, pick %s; want RSS, MC", got, explore)
+	}
+	r.observe("MC", 2.1e-3)
+	for i := 0; i < 64; i++ {
+		r.observe("LP+", 1.8e-3)
+	}
+	if got, retry := r.cheapest(), r.pick(); got != "LP+" || retry != "MC" {
+		t.Errorf("cheapest %s, pick %s; want LP+ (lowest mean), MC (retried on one sample)", got, retry)
+	}
+}
+
+// TestRoutedAnswersMatchExact checks routed answers against the exact
+// oracle on small random graphs, after every candidate is measured, so
+// that the answers come from whichever estimator measures cheapest:
+// sampled answers lie within 5 standard errors (plus 1e-3) of R, and
+// bounds-answered ones within half the pinch cutoff.
+func TestRoutedAnswersMatchExact(t *testing.T) {
+	const k = 1000
+	used := map[string]int{}
+	for seed := uint64(1); seed <= 20; seed++ {
+		src := rng.New(seed)
+		const n = 7
+		b := uncertain.NewBuilder(n)
+		for i, m := 0, 10+src.Intn(7); i < m; i++ {
+			from, to := uncertain.NodeID(src.Intn(n)), uncertain.NodeID(src.Intn(n))
+			if from != to {
+				b.MustAddEdge(from, to, 0.05+0.9*src.Float64())
+			}
+		}
+		g := b.Build()
+		e, err := New(g, Config{Workers: 2, MaxK: k, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range e.router.candidates {
+			if res := e.Estimate(context.Background(), Query{S: 0, T: 1, K: k, Estimator: name}); res.Err != nil {
+				t.Fatalf("seed %d warming %s: %v", seed, name, res.Err)
+			}
+		}
+		if len(e.router.latency) != len(e.router.candidates) {
+			t.Fatalf("seed %d: %d of %d candidates measured", seed, len(e.router.latency), len(e.router.candidates))
+		}
+		for s := uncertain.NodeID(0); s < 2; s++ {
+			for d := uncertain.NodeID(0); d < n; d++ {
+				if d == s {
+					continue
+				}
+				want, err := exact.Enumerate(g, s, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := e.Estimate(context.Background(), Query{S: s, T: d, K: k})
+				if res.Err != nil {
+					t.Fatalf("seed %d (%d,%d): %v", seed, s, d, res.Err)
+				}
+				used[res.Used]++
+				tol := 5*math.Sqrt(want*(1-want)/k) + 1e-3
+				if res.Used == BoundsName {
+					tol = defaultBoundsCutoff/2 + 1e-12
+				}
+				if got := res.Reliability; got < 0 || got > 1 || math.Abs(got-want) > tol {
+					t.Errorf("seed %d (%d,%d): %s answered %v, exact %v, tolerance %v", seed, s, d, res.Used, got, want, tol)
+				}
+			}
+		}
+	}
+	if len(used) < 2 {
+		t.Errorf("routed answers came only from %v; want sampled and bounds answers", used)
+	}
+	t.Logf("routed answers by estimator: %v", used)
 }
 
 // TestRoutedBatchUsesSharedGroups: adaptive batch queries resolved to

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -8,31 +9,30 @@ import (
 	"relcomp/internal/uncertain"
 )
 
-// router picks an estimator for queries that do not name one, following
-// the paper's selection guidance (§7, Table 17):
+// router picks an estimator for queries that do not name one. The paper
+// finds no single winner (§7, Table 17): the right estimator depends on
+// the graph, so the router follows measured cost. It computes the
+// polynomial-time path/cut bounds first; when they pinch the reliability
+// into a narrow interval, sampling is pointless (the paper's "theory"
+// branch) and the router answers with the interval midpoint. Every other
+// query, whatever its bounds width, goes to the measured-cheapest
+// candidate; pick says how candidates on few samples are explored.
 //
-//   - The polynomial-time path/cut bounds are computed first. When they
-//     pinch the reliability into a narrow interval, sampling is pointless
-//     (the paper's "theory" branch answers the query outright) and the
-//     router short-circuits with the interval midpoint.
-//   - Hard queries — wide bounds mean high estimator variance — go to the
-//     most accurate method available. The paper ranks RSS first on
-//     accuracy, then RHH, with MC the robust baseline.
-//   - Easy-but-unbounded queries go to whichever candidate currently has
-//     the lowest observed latency. Candidates without a sample yet are
-//     explored first, ordered by the paper's online-time ranking
-//     (ProbTree and LP+ fastest per query, BFSSharing fast but K-bound,
-//     MC the slowest of the recommended set), so every estimator gets
-//     measured before EWMAs decide.
+// Latency is a running mean over an estimator's first latencyHorizon
+// computed queries and an EWMA with that horizon after them, fed by the
+// engine after every non-cached query: a few costly pairs cannot lift the
+// cheapest estimator above a stale one, yet a lasting change in cost
+// (after mutations, or on graphs where lazy propagation degenerates)
+// moves traffic within a few horizons.
 //
-// Online latency is tracked per estimator as an exponentially weighted
-// moving average fed by the engine after every non-cached query, so the
-// routing adapts to the actual graph: e.g. on dense graphs where lazy
-// propagation degenerates, LP+'s EWMA grows and traffic shifts away from
-// it without configuration.
+// The pack widths are one kernel, bit-identical for one seed, so newEngine
+// makes only PackMC256 a candidate when it is built. Routed answers draw
+// exactly their k; RSS overdraws (5.7x at k=200 on DBLP_0.2), which is
+// why its error at equal k is lower than pack's (RMSE .009 against .017).
+// At equal drawn samples the two are equivalent, so routing by cost gives
+// up no accuracy the budget paid for.
 type router struct {
 	cutoff     float64  // bounds width below which no sampling is needed
-	hardWidth  float64  // bounds width above which accuracy dominates
 	candidates []string // estimator names the router may pick, engine order
 
 	// memo caches the (lo, hi) bounds per (s, t, source-epoch tag): the
@@ -49,67 +49,35 @@ type router struct {
 	memo *lruCache[[2]float64]
 
 	mu         sync.Mutex
-	latency    map[string]float64 // EWMA seconds per query; 0 = no sample yet
-	routed     map[string]uint64  // decisions per estimator
-	pinched    uint64             // bounds short-circuits
-	boundsRuns uint64             // bounds computations (memo misses)
-	boundsSecs float64            // wall-clock seconds those took in total
+	latency    map[string]latencyMean // per estimator; absent = no sample yet
+	routed     map[string]uint64      // decisions per estimator
+	pinched    uint64                 // bounds short-circuits
+	boundsRuns uint64                 // bounds computations (memo misses)
+	boundsSecs float64                // wall-clock seconds those took in total
 }
 
-// accuracyRank orders estimators by the paper's measured relative error at
-// convergence (lower is better). Unlisted estimators rank last.
-var accuracyRank = map[string]int{
-	"RSS":            0,
-	"RHH":            1,
-	"MC":             2,
-	"PackMC":         2, // statistically identical to MC
-	"PackMC256":      2, // bit-identical to PackMC
-	"PackMC512":      2, // bit-identical to PackMC
-	"ParallelMC":     2, // statistically identical to MC
-	"ParallelPackMC": 2, // bit-identical to PackMC
-	"ProbTree":       3,
-	"BFSSharing":     4,
-	"LP+":            5,
-}
-
-// latencyPrior orders estimators by per-query online time (the paper's
-// measurements, with the word-packed extensions slotted in: PackMC does
-// MC's work ~64 worlds per traversal, and the wide kernels amortize that
-// traversal over 256/512 worlds, so the widest sits first among the
-// samplers); it only breaks ties until real measurements arrive.
-var latencyPrior = map[string]int{
-	"ProbTree":       0,
-	"PackMC512":      1,
-	"PackMC256":      2,
-	"PackMC":         3,
-	"LP+":            4,
-	"BFSSharing":     5,
-	"RSS":            6,
-	"RHH":            7,
-	"ParallelPackMC": 8,
-	"ParallelMC":     9,
-	"MC":             10,
+// latencyMean is one estimator's latency estimate in seconds per query
+// over its last n (at most latencyHorizon) computed queries.
+type latencyMean struct {
+	secs float64
+	n    int
 }
 
 const (
 	defaultBoundsCutoff = 0.02
-	defaultHardWidth    = 0.25
-	latencyEWMAWeight   = 0.2
+	latencyHorizon      = 256
+	exploreWeight       = 4
 )
 
-func newRouter(candidates []string, cutoff, hardWidth float64, memoSize int) *router {
+func newRouter(candidates []string, cutoff float64, memoSize int) *router {
 	if cutoff <= 0 {
 		cutoff = defaultBoundsCutoff
 	}
-	if hardWidth <= 0 {
-		hardWidth = defaultHardWidth
-	}
 	return &router{
 		cutoff:     cutoff,
-		hardWidth:  hardWidth,
 		candidates: candidates,
 		memo:       newLRUCache[[2]float64](memoSize),
-		latency:    make(map[string]float64, len(candidates)),
+		latency:    make(map[string]latencyMean, len(candidates)),
 		routed:     make(map[string]uint64, len(candidates)),
 	}
 }
@@ -125,10 +93,6 @@ type decision struct {
 	width float64
 	prior float64
 }
-
-// hard reports whether the decision's bounds interval marks the query as
-// hard (high estimator variance expected).
-func (d decision) hard(hardWidth float64) bool { return d.width > hardWidth }
 
 // boundsFor returns the memoized analytic bounds for (s, t) on g, keyed
 // by the source's invalidation tag.
@@ -147,7 +111,7 @@ func (r *router) boundsFor(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID
 	if err != nil {
 		// Out-of-range queries are caught by engine validation before
 		// routing; a bounds failure here means a degenerate graph, so
-		// fall through to the accuracy-ranked choice with a maximally
+		// fall through to the measured-cheapest choice with a maximally
 		// wide interval.
 		lo, hi = 0, 1
 	}
@@ -184,7 +148,7 @@ func (r *router) route(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID) de
 		r.notePinched()
 		return decision{pinched: true, value: (lo + hi) / 2, width: width, prior: (lo + hi) / 2}
 	}
-	name := r.pick(width)
+	name := r.pick()
 	r.noteRouted(name)
 	return decision{estimator: name, width: width, prior: (lo + hi) / 2}
 }
@@ -193,47 +157,48 @@ func (r *router) route(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID) de
 // LRU from engine stats.
 func (r *router) memoStats() CacheStats { return r.memo.stats() }
 
-// pick chooses among the candidates: accuracy-first for hard queries,
-// measured-latency-first otherwise.
-func (r *router) pick(width float64) string {
+// pick chooses the first unmeasured candidate in engine order, or, once
+// every candidate is measured, the one with the lowest optimistic
+// latency: its mean over n samples divided by 1 + exploreWeight/√n.
+// Exploring before trusting measurements keeps the first estimator to get
+// a sample from winning every comparison forever, however slow it turns
+// out to be. The discount keeps one unlucky sample from shutting a cheap
+// candidate out: one pair can cost 60x another on the same graph, so a
+// mean of few samples says little, and a candidate is retried while its
+// samples are few enough that it could still be the cheapest. A candidate
+// 4x dearer than the best is dropped after one sample, one 1.2x dearer
+// after some 64, and among candidates measured latencyHorizon times the
+// lowest mean wins.
+func (r *router) pick() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	best := r.candidates[0]
-	for _, name := range r.candidates[1:] {
-		if r.better(name, best, width) {
-			best = name
+	best, bestScore := "", 0.0
+	for _, name := range r.candidates {
+		lat, measured := r.latency[name]
+		if !measured {
+			return name
+		}
+		score := lat.secs / (1 + exploreWeight/math.Sqrt(float64(lat.n)))
+		if best == "" || score < bestScore {
+			best, bestScore = name, score
 		}
 	}
 	return best
 }
 
-// better reports whether candidate a should be preferred over b for a
-// query whose bounds width is width. Candidates with no latency sample
-// yet are explored before measured EWMAs are trusted — otherwise the
-// first estimator to get a sample would win every comparison forever,
-// however slow it turns out to be, and traffic could never shift away.
-func (r *router) better(a, b string, width float64) bool {
-	if width > r.hardWidth {
-		return rank(accuracyRank, a) < rank(accuracyRank, b)
+// cheapest returns the candidate with the lowest measured latency, or the
+// first candidate while none is measured. The degradation ladder pins it:
+// an overloaded engine must not spend queries exploring.
+func (r *router) cheapest() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	best, bestSecs := r.candidates[0], math.Inf(1)
+	for _, name := range r.candidates {
+		if lat, measured := r.latency[name]; measured && lat.secs < bestSecs {
+			best, bestSecs = name, lat.secs
+		}
 	}
-	la, lb := r.latency[a], r.latency[b]
-	switch {
-	case la > 0 && lb > 0:
-		return la < lb
-	case la == 0 && lb == 0:
-		return rank(latencyPrior, a) < rank(latencyPrior, b)
-	case la == 0:
-		return true // explore a before trusting b's measurement
-	default:
-		return false
-	}
-}
-
-func rank(table map[string]int, name string) int {
-	if v, ok := table[name]; ok {
-		return v
-	}
-	return len(table)
+	return best
 }
 
 // notePinched counts one more bounds-answered query.
@@ -250,26 +215,23 @@ func (r *router) noteRouted(name string) {
 	r.mu.Unlock()
 }
 
-// observe feeds one measured query latency into the EWMA for name.
+// observe feeds one measured query latency into name's estimate: a running
+// mean until latencyHorizon samples, an EWMA of weight 1/latencyHorizon
+// after that.
 func (r *router) observe(name string, seconds float64) {
-	if seconds <= 0 {
-		// Coarse clocks can measure a fast query as exactly 0, which the
-		// EWMA map reserves for "no sample yet"; floor so a measured
-		// estimator never masquerades as unexplored.
-		seconds = 1e-9
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev := r.latency[name]; prev > 0 {
-		r.latency[name] = (1-latencyEWMAWeight)*prev + latencyEWMAWeight*seconds
-	} else {
-		r.latency[name] = seconds
+	lat := r.latency[name]
+	if lat.n < latencyHorizon {
+		lat.n++
 	}
+	lat.secs += (seconds - lat.secs) / float64(lat.n)
+	r.latency[name] = lat
 }
 
-// snapshot returns the per-estimator routing counts, EWMA latencies, the
-// number of bounds short-circuits, and the count and total seconds of
-// bounds computations.
+// snapshot returns the per-estimator routing counts, latency estimates in
+// seconds, the number of bounds short-circuits, and the count and total
+// seconds of bounds computations.
 func (r *router) snapshot() (routed map[string]uint64, latency map[string]float64, pinched, boundsRuns uint64, boundsSecs float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -279,7 +241,7 @@ func (r *router) snapshot() (routed map[string]uint64, latency map[string]float6
 	}
 	latency = make(map[string]float64, len(r.latency))
 	for k, v := range r.latency { //lint:allow maprange commutative map-to-map copy for a stats snapshot
-		latency[k] = v
+		latency[k] = v.secs
 	}
 	return routed, latency, r.pinched, r.boundsRuns, r.boundsSecs
 }
