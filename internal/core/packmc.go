@@ -17,16 +17,21 @@ import (
 // traversal, using the machine-word trick the BFS Sharing index proves
 // out — bit i of a 64-bit word stands for world i.
 //
-// Per pack, every node carries a 64-bit reachability mask (bit i set iff
-// the node is reached from s in world i) and every edge lazily draws a
-// 64-bit existence mask on first probe (bit i set iff the edge exists in
-// world i, generated with the same geometric-skip technique as the BFS
-// Sharing index, so a p-probability edge costs O(64·min(p,1-p)) RNG draws
-// instead of 64). Masks propagate with cascading updates until a fixpoint,
-// exactly like Algorithm 3 but one word wide and with no offline index.
-// Worlds that reach t stop propagating (MC's per-sample early exit, lane
-// by lane), and the pack terminates outright once every live world has
-// reached t — the target's mask can no longer change.
+// Per pack, every edge lazily draws a 64-bit existence mask on first probe
+// (bit i set iff the edge exists in world i, generated with the same
+// geometric-skip technique as the BFS Sharing index, so a p-probability
+// edge costs O(64·min(p,1-p)) RNG draws instead of 64), and nodes carry
+// 64-bit reachability masks. An s-t pack meets in the middle: forward
+// masks grow from s over out-edges (bit i set iff s reaches the node in
+// world i), backward masks grow from t over in-edges (bit i set iff the
+// node reaches t), and each level expands the side with the smaller
+// frontier. A world is counted as soon as some node holds it on both
+// sides, and dropped as soon as either side has nothing left to expand in
+// it. On dense graphs this pops ~100 nodes per pack where a forward search
+// to t pops thousands: at h=2 the forward side alone drains most of s's
+// second shell. A source sweep (EstimateAll) has no target and propagates
+// forward to the fixpoint, exactly like Algorithm 3 but one word wide and
+// with no offline index.
 //
 // The estimate is statistically identical to MC — the same K independent
 // Bernoulli worlds, the same unbiasedness and variance — but costs ~64x
@@ -36,12 +41,12 @@ import (
 // Edge masks are a pure function of (seed, round, pack, edge) — a
 // counter-based stream rather than a sequential one — so the drawn world
 // ensemble does not depend on traversal order. That gives PackMC three
-// properties the sequential-stream estimators lack: early termination
-// cannot change the estimate (it only skips work), EstimateAll answers
-// every target bit-identically to per-target Estimate calls (which is what
-// lets the batch engine fold PackMC queries into amortized source groups),
-// and ParallelPackMC returns bit-identical values to PackMC for any worker
-// count.
+// properties the sequential-stream estimators lack: the search direction
+// and early termination cannot change the estimate (they only skip
+// work), EstimateAll answers every target bit-identically to per-target
+// Estimate calls (which is what lets the batch engine fold PackMC queries
+// into amortized source groups), and ParallelPackMC returns bit-identical
+// values to PackMC for any worker count.
 //
 // Like the other estimators, PackMC is deterministic given its seed and
 // not safe for concurrent use.
@@ -52,15 +57,14 @@ type PackMC struct {
 	// salts the mask streams so successive calls draw fresh worlds.
 	round uint64
 
-	// Per-pack scratch, invalidated wholesale by bumping epoch. Mask and
-	// epoch live side by side in one struct so the random accesses of the
-	// propagation loop touch one cache line per node or edge, not two.
+	// Per-pack scratch, invalidated wholesale by bumping epoch. fwd holds
+	// the masks grown from s, bwd those grown toward t (s-t packs only);
+	// both read one edge-mask cache, so they see the same worlds.
 	epoch   uint32
-	nodes   []packNode
+	fwd     packSide
+	bwd     packSide
 	edges   []packEdge
-	qfix    []uint64 // per-edge probability in rng.FixedProb fixed point
-	sent    []uint64 // per-node lanes already propagated to its out-edges
-	queue   []uncertain.NodeID
+	qfix    []uint64           // per-edge probability in rng.FixedProb fixed point
 	touched []uncertain.NodeID // nodes stamped this pack (EstimateAll only)
 
 	// scratch is the per-query arena (multi-target hit counters); each
@@ -68,9 +72,21 @@ type PackMC struct {
 	scratch arena.Arena
 }
 
-// packNode is a node's pack-local state: its reachability mask (valid iff
-// epoch matches the current pack) and the epoch while it waits in the
-// worklist.
+// packSide is one search direction's pack-local state: every node's mask
+// (valid iff its epoch matches the current pack), the lanes each node has
+// already propagated, and the worklist, whose tail from head on is the
+// frontier the next level expands.
+type packSide struct {
+	nodes []packNode
+	sent  []uint64
+	queue []uncertain.NodeID
+	head  int
+}
+
+// packNode is a node's pack-local state on one side: its mask, and the
+// epochs at which the mask was last valid and the node last entered the
+// worklist. Mask and epoch live side by side in one struct so the random
+// accesses of the propagation loop touch one cache line per node, not two.
 type packNode struct {
 	mask    uint64
 	epoch   uint32
@@ -88,19 +104,41 @@ type packEdge struct {
 	_       uint32
 }
 
-// packQueueCap is the initial worklist capacity of a PackMC instance.
+// packQueueCap is the initial capacity of each of a PackMC instance's two
+// worklists.
 const packQueueCap = 256
+
+// newPackSide allocates one direction's state for an n-node graph.
+func newPackSide(n int) packSide {
+	return packSide{
+		nodes: make([]packNode, n),
+		sent:  make([]uint64, n),
+		queue: make([]uncertain.NodeID, 0, packQueueCap),
+	}
+}
+
+// start seeds the side for a new pack: root holds the active lanes and is
+// the whole frontier.
+func (x *packSide) start(root uncertain.NodeID, active uint64, ep uint32) *packSide {
+	x.nodes[root] = packNode{mask: active, epoch: ep, inQueue: ep}
+	x.sent[root] = 0
+	x.queue = append(x.queue[:0], root)
+	x.head = 0
+	return x
+}
+
+// frontier returns the number of nodes the side's next level expands.
+func (x *packSide) frontier() int { return len(x.queue) - x.head }
 
 // NewPackMC returns a PackMC estimator over g with the given random seed.
 func NewPackMC(g *uncertain.Graph, seed uint64) *PackMC {
 	pm := &PackMC{
 		g:     g,
 		seed:  seed,
-		nodes: make([]packNode, g.NumNodes()),
+		fwd:   newPackSide(g.NumNodes()),
+		bwd:   newPackSide(g.NumNodes()),
 		edges: make([]packEdge, g.NumEdges()),
 		qfix:  make([]uint64, g.NumEdges()),
-		sent:  make([]uint64, g.NumNodes()),
-		queue: make([]uncertain.NodeID, 0, packQueueCap),
 	}
 	// Classifying and fixed-point-converting every edge probability once
 	// here keeps the float branches out of the per-probe mask draws.
@@ -210,9 +248,9 @@ func (pm *PackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
 	base := mix(pm.seed, pm.round, 0)
 	counts := pm.scratch.Int64s(g.NumNodes())
 	for j := 0; j < numPacks(k); j++ {
-		pm.runPack(base, uint64(j), s, -1, activeLanes(j, k))
+		pm.sweepPack(base, uint64(j), s, activeLanes(j, k))
 		for _, v := range pm.touched {
-			counts[v] += int64(bits.OnesCount64(pm.nodes[v].mask))
+			counts[v] += int64(bits.OnesCount64(pm.fwd.nodes[v].mask))
 		}
 	}
 	out := make([]float64, g.NumNodes())
@@ -231,9 +269,11 @@ func (pm *PackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
 func (pm *PackMC) nextPack() {
 	pm.epoch++
 	if pm.epoch == 0 {
-		for i := range pm.nodes {
-			pm.nodes[i].epoch = 0
-			pm.nodes[i].inQueue = 0
+		for _, x := range []*packSide{&pm.fwd, &pm.bwd} {
+			for i := range x.nodes {
+				x.nodes[i].epoch = 0
+				x.nodes[i].inQueue = 0
+			}
 		}
 		for i := range pm.edges {
 			pm.edges[i].epoch = 0
@@ -242,81 +282,91 @@ func (pm *PackMC) nextPack() {
 	}
 }
 
-// runPack propagates one 64-world pack from s and returns the mask of
-// active lanes in which t was reached. A negative t disables the target
-// (no lane pruning, no early exit) and instead records every stamped node
-// in pm.touched with its fixpoint mask left in pm.nodes — the EstimateAll
-// mode.
+// runPack evaluates one 64-world pack for s ≠ t and returns the mask of
+// active lanes in which t is reachable from s. It searches from both ends,
+// one level at a time, always expanding the side with fewer frontier
+// nodes. A lane is counted when a node holds it on both sides: that world
+// has an s-v and a v-t path. A lane dies when either side's level leaves
+// no frontier node gaining it: that side's closure is complete in the
+// world and met nothing, so the world has no s-t path. Both sides read
+// the pack's one edge-mask cache, so the result equals the forward
+// fixpoint mask at t lane by lane.
 func (pm *PackMC) runPack(base, pack uint64, s, t uncertain.NodeID, active uint64) uint64 {
-	g := pm.g
 	pm.nextPack()
-	ep := pm.epoch
-	pm.nodes[s] = packNode{mask: active, epoch: ep, inQueue: ep}
-	pm.sent[s] = 0
-	if t < 0 {
-		pm.touched = append(pm.touched[:0], s)
+	f := pm.fwd.start(s, active, pm.epoch)
+	b := pm.bwd.start(t, active, pm.epoch)
+	var hit uint64
+	for alive := active; alive != 0; {
+		var met uint64
+		if b.frontier() < f.frontier() {
+			met, alive = pm.expand(b, f, false, base, pack, alive)
+		} else {
+			met, alive = pm.expand(f, b, true, base, pack, alive)
+		}
+		hit |= met
 	}
-	// alive masks out worlds that already reached t: they are counted and
-	// need no further propagation (MC's early exit, lane-wise).
-	alive := active
-	var tMask uint64
-	q := pm.queue[:0]
-	q = append(q, s)
-	for head := 0; head < len(q); head++ {
+	return hit
+}
+
+// sweepPack propagates one 64-world pack forward from s to its fixpoint
+// and lists every node stamped this pack in pm.touched, its mask left in
+// pm.fwd.nodes — the EstimateAll mode, where one sweep answers every
+// target.
+func (pm *PackMC) sweepPack(base, pack uint64, s uncertain.NodeID, active uint64) {
+	pm.nextPack()
+	f := pm.fwd.start(s, active, pm.epoch)
+	pm.touched = append(pm.touched[:0], s)
+	for alive := active; alive != 0; {
+		_, alive = pm.expand(f, nil, true, base, pack, alive)
+	}
+}
+
+// expand runs one level of side x: every frontier node sends the alive
+// lanes it gained since it last expanded across its out-edges (forward)
+// or in-edges (backward), and each neighbor that gains lanes joins the
+// next frontier. Lanes a neighbor gains that side y already holds there
+// are met: they are returned, and stop propagating at once. A nil y is
+// the source sweep, which has no other side and records stamped nodes in
+// pm.touched instead. The second result is the lanes still alive with a
+// frontier node gaining them.
+func (pm *PackMC) expand(x, y *packSide, forward bool, base, pack uint64, alive uint64) (met, live uint64) {
+	g := pm.g
+	ep := pm.epoch
+	nodes, sent := x.nodes, x.sent
+	var other []packNode
+	if y != nil {
+		other = y.nodes
+	}
+	q, head := x.queue, x.head
+	for end := len(q); head < end; head++ {
 		v := q[head]
-		nv := &pm.nodes[v]
+		nv := &nodes[v]
 		nv.inQueue = 0
-		// Only lanes gained since v's last pop re-propagate: everything in
-		// sent[v] was already ANDed with the (cached, pack-stable) mask of
-		// every out-edge and ORed into the neighbors, so re-sending it
+		// Only lanes gained since v's last expansion propagate: everything
+		// in sent[v] was already ANDed with the (cached, pack-stable) mask
+		// of every edge and ORed into the neighbors, so re-sending it
 		// cannot add anything. Dead lanes may be marked sent undelivered —
 		// they are filtered by alive everywhere and never needed again.
-		mv := (nv.mask &^ pm.sent[v]) & alive
+		mv := (nv.mask &^ sent[v]) & alive
 		if mv == 0 {
 			continue
 		}
-		pm.sent[v] = nv.mask
-		outs := g.OutNeighbors(v)
-		ids := g.OutEdgeIDs(v)
-		for i, w := range outs {
-			if w == t {
-				nd := mv &^ tMask
-				if nd == 0 {
-					// Every world v could deliver already reached t; the
-					// edge mask is not needed (and, being counter-based,
-					// not drawing it changes nothing).
-					continue
-				}
-				ee := &pm.edges[ids[i]]
-				em := ee.mask
-				if ee.epoch != ep || nd&^ee.decided != 0 {
-					em = pm.edgeMaskFor(base, pack, ids[i], nd)
-				}
-				m := nd & em
-				if m == 0 {
-					continue
-				}
-				tMask |= m
-				alive = active &^ tMask
-				if alive == 0 {
-					// Every live world reached t: the target's mask can no
-					// longer change, so the rest of the pack is dead work.
-					pm.queue = q
-					return tMask
-				}
-				mv &= alive
-				if mv == 0 {
-					break
-				}
-				continue
-			}
-			nw := &pm.nodes[w]
+		sent[v] = nv.mask
+		var nbrs []uncertain.NodeID
+		var ids []uncertain.EdgeID
+		if forward {
+			nbrs, ids = g.OutNeighbors(v), g.OutEdgeIDs(v)
+		} else {
+			nbrs, ids = g.InNeighbors(v), g.InEdgeIDs(v)
+		}
+		for i, w := range nbrs {
+			nw := &nodes[w]
 			wm := nw.mask
 			if nw.epoch != ep {
 				wm = 0
 				nw.epoch = ep
-				pm.sent[w] = 0
-				if t < 0 {
+				sent[w] = 0
+				if y == nil {
 					pm.touched = append(pm.touched, w)
 				}
 			}
@@ -338,21 +388,30 @@ func (pm *PackMC) runPack(base, pack uint64, s, t uncertain.NodeID, active uint6
 				em = pm.edgeMaskFor(base, pack, ids[i], nd)
 			}
 			m := nd & em
+			nw.mask = wm | m
 			if m == 0 {
-				nw.mask = wm
 				continue
 			}
-			nw.mask = wm | m
+			if other != nil && other[w].epoch == ep {
+				if hit := m & other[w].mask; hit != 0 {
+					met |= hit
+					alive &^= hit
+					if mv &= alive; mv == 0 {
+						break
+					}
+				}
+			}
+			live |= m
 			// Cascade: w re-propagates its grown mask, whether it is still
-			// waiting in the worklist or was already processed.
+			// waiting in this level or was already expanded.
 			if nw.inQueue != ep {
 				nw.inQueue = ep
 				q = append(q, w)
 			}
 		}
 	}
-	pm.queue = q
-	return tMask
+	x.queue, x.head = q, head
+	return met, live & alive
 }
 
 // edgeMaskFor returns the edge's existence mask for the current pack,
@@ -372,12 +431,18 @@ func (pm *PackMC) edgeMaskFor(base, pack uint64, e uncertain.EdgeID, need uint64
 	return m
 }
 
-// MemoryBytes implements MemoryReporter: the node pack-state and sent
-// arrays (16+8 bytes per node), the edge pack-state and fixed-point
-// probability arrays (24+8 bytes per edge), and the worklists.
+// MemoryBytes implements MemoryReporter: the graph-proportional scratch
+// of both sides, the worklists, and the per-query arena.
 func (pm *PackMC) MemoryBytes() int64 {
-	n, m := int64(pm.g.NumNodes()), int64(pm.g.NumEdges())
-	return n*(16+8) + m*(24+8) + int64(cap(pm.queue)+cap(pm.touched))*4
+	return packScratchBytes(pm.g.NumNodes(), pm.g.NumEdges()) +
+		int64(cap(pm.fwd.queue)+cap(pm.bwd.queue)+cap(pm.touched))*4 + pm.scratch.MemoryBytes()
+}
+
+// packScratchBytes is the graph-proportional scratch of one PackMC: per
+// node a pack-state and a sent word on each side (2·(16+8) bytes), per
+// edge the pack-state and fixed-point probability (24+8 bytes).
+func packScratchBytes(n, m int) int64 {
+	return int64(n)*2*(16+8) + int64(m)*(24+8)
 }
 
 // Sampler implements IncrementalEstimator. The session fixes its stream
@@ -447,9 +512,9 @@ func (a *packAllSampler) Advance(dk int) {
 	}
 	lo, hi := a.n, a.n+dk
 	for j := lo >> 6; j*64 < hi; j++ {
-		a.pm.runPack(a.base, uint64(j), a.s, -1, laneMask(j, lo, hi))
+		a.pm.sweepPack(a.base, uint64(j), a.s, laneMask(j, lo, hi))
 		for _, v := range a.pm.touched {
-			a.counts[v] += int64(bits.OnesCount64(a.pm.nodes[v].mask))
+			a.counts[v] += int64(bits.OnesCount64(a.pm.fwd.nodes[v].mask))
 		}
 	}
 	a.n = hi
@@ -593,8 +658,7 @@ func (p *ParallelPackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 // worker, computed arithmetically rather than by allocating a probe
 // instance.
 func (p *ParallelPackMC) MemoryBytes() int64 {
-	n, m := int64(p.g.NumNodes()), int64(p.g.NumEdges())
-	per := n*(16+8) + m*(24+8) + packQueueCap*4
+	per := packScratchBytes(p.g.NumNodes(), p.g.NumEdges()) + 2*packQueueCap*4
 	if p.lanes > 64 {
 		per = wideScratchBytes(p.g.NumNodes(), p.g.NumEdges(), p.lanes/64) + packQueueCap*4
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"relcomp/internal/exact"
@@ -198,4 +199,179 @@ func TestPackMCTopKUsesSourcePath(t *testing.T) {
 	if len(top) != 2 || top[0].Node != 1 {
 		t.Fatalf("top-2 from 0: %+v, want node 1 first", top)
 	}
+}
+
+// bidiTestGraph draws a random graph of 2–16 nodes whose edges take
+// probability p (< 0: a per-edge mix of 0, 1, 0.003 and uniform). Repeated
+// and reversed endpoint pairs are frequent: the builder merges repeats
+// into one parallel-free edge, and reversals give the bi-directed shape of
+// the real datasets. The builder rejects p = 0, so such edges are
+// tombstoned after building, the way a mutation removes an edge. With
+// noIn, the last node gets no in-edges.
+func bidiTestGraph(t *testing.T, r *rng.Source, p float64, noIn bool) *uncertain.Graph {
+	t.Helper()
+	n := 2 + r.Intn(15)
+	b := uncertain.NewBuilder(n)
+	var last uncertain.Edge
+	var tombs []uncertain.EdgeDelta
+	for i, m := 0, r.Intn(4*n); i < m; i++ {
+		e := uncertain.Edge{From: uncertain.NodeID(r.Intn(n)), To: uncertain.NodeID(r.Intn(n)), P: p}
+		switch r.Intn(8) {
+		case 0:
+			e.From, e.To = last.From, last.To
+		case 1, 2:
+			e.From, e.To = last.To, last.From
+		}
+		if noIn && int(e.To) == n-1 {
+			e.To = 0
+		}
+		if e.From == e.To {
+			continue
+		}
+		if p < 0 {
+			e.P = []float64{0, 1, 0.003, 0.01 + 0.98*r.Float64()}[r.Intn(4)]
+		}
+		if e.P == 0 {
+			tombs = append(tombs, uncertain.EdgeDelta{From: e.From, To: e.To})
+			e.P = 0.5
+		}
+		b.MustAddEdge(e.From, e.To, e.P)
+		last = e
+	}
+	g, _, err := uncertain.ApplyDeltas(b.Build(), tombs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestPackMCBidirectionalMatchesForward: the s-t pack meets in the middle,
+// yet must return, lane by lane, exactly the forward sweep's fixpoint mask
+// at t — on merged parallel and bi-directed edges, certain, tombstoned and
+// near-zero edges, unreachable targets, targets with no in-edges, and
+// every shape of active-lane mask (full, one lane, a partial final pack,
+// random, k = 0 and k = 1). Its estimates must also agree with the exact
+// reliability.
+func TestPackMCBidirectionalMatchesForward(t *testing.T) {
+	r := rng.New(47)
+	probs := []float64{-1, 0, 1, 0.003, 0.5}
+	var packs, unreachable, noInTargets, exactChecks int
+	for gi := 0; gi < 240; gi++ {
+		noIn := gi%3 == 0
+		g := bidiTestGraph(t, r, probs[gi%len(probs)], noIn)
+		n := g.NumNodes()
+		bidi, fwd := NewPackMC(g, uint64(gi)), NewPackMC(g, uint64(gi))
+		base := r.Uint64()
+		masks := []uint64{
+			^uint64(0), uint64(1) << uint(r.Intn(64)), activeLanes(1, 100),
+			0x5555555555555555, r.Uint64(), activeLanes(0, 0), activeLanes(0, 1),
+		}
+		for s := 0; s < n; s++ {
+			for tt := 0; tt < n; tt++ {
+				if s == tt {
+					continue
+				}
+				src, dst := uncertain.NodeID(s), uncertain.NodeID(tt)
+				for j, active := range masks {
+					got := bidi.runPack(base, uint64(j), src, dst, active)
+					fwd.sweepPack(base, uint64(j), src, active)
+					var want uint64
+					if fn := fwd.fwd.nodes[dst]; fn.epoch == fwd.epoch {
+						want = fn.mask & active
+					}
+					if got != want {
+						t.Fatalf("graph %d (%d nodes, %d edges) %d->%d pack %d active %#x: bidirectional %#x, forward %#x",
+							gi, n, g.NumEdges(), s, tt, j, active, got, want)
+					}
+					packs++
+					if j == 0 && want == 0 {
+						unreachable++
+					}
+				}
+				if noIn && tt == n-1 {
+					noInTargets++
+				}
+			}
+		}
+		if g.NumEdges() > 14 {
+			continue // keep exact.Enumerate's 2^m worlds small
+		}
+		s, tt := uncertain.NodeID(0), uncertain.NodeID(n-1)
+		want, err := exact.Enumerate(g, s, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const k = 4096
+		// One sample's worth on top of 5σ: a count of k worlds cannot
+		// resolve a probability far below 1/k.
+		tol := 5*math.Sqrt(want*(1-want)/k) + 1.0/k
+		if got := bidi.Estimate(s, tt, k); math.Abs(got-want) > tol {
+			t.Errorf("graph %d: Estimate(%d, %d, %d) = %.5f, exact %.5f (tolerance %.5f)", gi, s, tt, k, got, want, tol)
+		}
+		exactChecks++
+	}
+	if unreachable == 0 || noInTargets == 0 || exactChecks < 50 {
+		t.Fatalf("weak coverage: %d unreachable pairs, %d in-degree-0 targets, %d exact checks", unreachable, noInTargets, exactChecks)
+	}
+	t.Logf("%d packs, %d unreachable pairs, %d in-degree-0 targets, %d exact checks", packs, unreachable, noInTargets, exactChecks)
+}
+
+// TestPackMCEpochWrap: the wrap-around clear of the pack epoch must reset
+// both search sides. Each round leaves state stamped at epochs 1 and 2 and
+// then wraps again; a clear that forgot a side would let those stale
+// stamps read as live in the next round's post-wrap packs.
+func TestPackMCEpochWrap(t *testing.T) {
+	// A sparse graph, so most lanes miss t and a stale stamp shows.
+	g := randomTestGraph(rng.New(9), 14, 24)
+	used, fresh := NewPackMC(g, 5), NewPackMC(g, 5)
+	base := mix(5, 1, 0)
+	for s := uncertain.NodeID(0); s < 14; s++ {
+		tt := 13 - s
+		if s == tt {
+			continue
+		}
+		used.epoch = ^uint32(0) - 1
+		for j := uint64(0); j < 3; j++ {
+			got := used.runPack(base+uint64(s), j, s, tt, ^uint64(0))
+			want := fresh.runPack(base+uint64(s), j, s, tt, ^uint64(0))
+			if got != want {
+				t.Fatalf("%d->%d pack %d after the epoch wrap: %#x, fresh instance %#x", s, tt, j, got, want)
+			}
+		}
+	}
+}
+
+// TestPackMCMemoryBytesCoversSlices: MemoryBytes must count at least every
+// byte the instance's slices hold after queries in both modes, backward
+// search state included; ParallelPackMC's arithmetic must cover one fresh
+// kernel per worker.
+func TestPackMCMemoryBytesCoversSlices(t *testing.T) {
+	g := randomTestGraph(rng.New(3), 300, 2400)
+	pm := NewPackMC(g, 1)
+	pm.Estimate(0, 299, 500)
+	pm.EstimateAll(0, 500)
+	if got, held := pm.MemoryBytes(), sliceBytes(reflect.ValueOf(pm).Elem()); got < held {
+		t.Errorf("PackMC MemoryBytes %d below the %d bytes its slices hold", got, held)
+	}
+	const workers = 3
+	par := NewParallelPackMC(g, 1, workers)
+	if got, held := par.MemoryBytes(), workers*sliceBytes(reflect.ValueOf(NewPackMC(g, 1)).Elem()); got < held {
+		t.Errorf("ParallelPackMC MemoryBytes %d below %d workers' fresh slices (%d bytes)", got, workers, held)
+	}
+}
+
+// sliceBytes sums cap·element size over every slice reachable from v
+// through struct fields (pointers are not followed).
+func sliceBytes(v reflect.Value) int64 {
+	switch v.Kind() {
+	case reflect.Slice:
+		return int64(v.Cap()) * int64(v.Type().Elem().Size())
+	case reflect.Struct:
+		var b int64
+		for i := 0; i < v.NumField(); i++ {
+			b += sliceBytes(v.Field(i))
+		}
+		return b
+	}
+	return 0
 }

@@ -99,7 +99,7 @@ func (e *Engine) costEstimate(st *epochState, q Request) int64 {
 			switch width := hi - lo; {
 			case width <= e.router.cutoff:
 				cost = 1
-			case q.anytime() && width <= e.cfg.HardWidth:
+			case q.anytime() && width <= defaultHardWidth:
 				if cost > 1 {
 					cost /= 2
 				}

@@ -118,11 +118,6 @@ type Config struct {
 	// is answered by the interval midpoint without sampling; <= 0 means
 	// 0.02.
 	BoundsCutoff float64
-	// HardWidth is the bounds width above which a routed anytime query
-	// counts as hard: it starts with the larger anytime chunk, and its
-	// admission cost is not halved as an easy pair's is. It does not
-	// steer which estimator is routed; <= 0 means 0.25.
-	HardWidth float64
 	// Preloaded supplies pre-built offline indexes (typically loaded from
 	// a snapshot) for the index-based estimator pools, which then skip
 	// their lazy first-borrow build. Nil fields fall back to building.
@@ -274,9 +269,6 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 2000
 	}
-	if cfg.HardWidth <= 0 {
-		cfg.HardWidth = defaultHardWidth
-	}
 	if len(cfg.Estimators) == 0 {
 		cfg.Estimators = DefaultEstimators()
 	}
@@ -317,15 +309,16 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	// routing: steering adaptive traffic at a single-replica pool would
 	// serialize concurrent queries behind one instance — exactly the
 	// bottleneck the engine exists to remove. They stay reachable by
-	// explicit request. The pack widths are one kernel (bit-identical
-	// for one seed), so when PackMC256 is built it is their only
-	// candidate: routing to several widths would grow a pool, each
-	// replica with its own kernel scratch, per width for no gain. 256
-	// lanes measure no slower than 64 or 512 on either gate graph.
-	_, routeOnePack := st.pools[pack256Name]
+	// explicit request. The pack widths give bit-identical values for one
+	// seed, so when PackMC is built it is their only candidate: routing to
+	// several widths would grow a pool, each replica with its own kernel
+	// scratch, per width for no gain. Only the 64-lane kernel meets in the
+	// middle on s-t queries; on DBLP_0.2 that makes it ~5x cheaper than
+	// the forward-only 256 and 512 lanes.
+	_, routeOnePack := st.pools[packName]
 	var candidates []string
 	for _, name := range e.names {
-		if st.pools[name].capacity < cfg.Workers || routeOnePack && packLike(name) && name != pack256Name {
+		if st.pools[name].capacity < cfg.Workers || routeOnePack && packLike(name) && name != packName {
 			continue
 		}
 		candidates = append(candidates, name)
@@ -635,7 +628,7 @@ func (e *Engine) adaptiveOpts(ctx context.Context, q Query, dl time.Time, d deci
 	}
 	if d.width > 0 { // routed: the bounds interval is known
 		opts.Prior = d.prior
-		if d.width > e.cfg.HardWidth {
+		if d.width > defaultHardWidth {
 			opts.Chunk = hardChunk
 		} else {
 			opts.Chunk = easyChunk
@@ -645,9 +638,8 @@ func (e *Engine) adaptiveOpts(ctx context.Context, q Query, dl time.Time, d deci
 }
 
 // easyChunk and hardChunk are the anytime layer's starting chunk sizes by
-// routed hard/easy classification (bounds wider than Config.HardWidth,
-// defaultHardWidth unless set, are hard); unclassified (named-estimator)
-// queries use the core default.
+// routed hard/easy classification (bounds wider than defaultHardWidth are
+// hard); unclassified (named-estimator) queries use the core default.
 const (
 	easyChunk        = 256
 	hardChunk        = 1024

@@ -294,18 +294,18 @@ func TestRouterPrefersAccuracyOnWideBounds(t *testing.T) {
 			t.Errorf("bounds %v routed to %q, want the cheapest, MC", b, d.estimator)
 		}
 	}
-	// The bit-identical pack widths are one candidate: with PackMC256
-	// built, PackMC and PackMC512 are never routed.
+	// The bit-identical pack widths are one candidate: with PackMC built,
+	// PackMC256 and PackMC512 are never routed.
 	e := testEngine(t, Config{Workers: 2, MaxK: 300, Seed: 42})
-	want := []string{"MC", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS", "PackMC256"}
+	want := []string{"MC", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS", "PackMC"}
 	if !reflect.DeepEqual(e.router.candidates, want) {
 		t.Errorf("routing candidates %v, want %v", e.router.candidates, want)
 	}
 }
 
-// TestRouterRoutesOnePackWidth: without PackMC256 built, another pack
-// width is routable; with it built, the other widths still answer when
-// named.
+// TestRouterRoutesOnePackWidth: without PackMC built, another pack width
+// is routable; with it built, the other widths still answer when named
+// but are never routed.
 func TestRouterRoutesOnePackWidth(t *testing.T) {
 	only512 := testEngine(t, Config{Workers: 2, MaxK: 300, Seed: 42, Estimators: []string{pack512Name}})
 	if got := only512.router.candidates; !reflect.DeepEqual(got, []string{pack512Name}) {
@@ -318,7 +318,10 @@ func TestRouterRoutesOnePackWidth(t *testing.T) {
 	}
 
 	e := testEngine(t, Config{Workers: 2, MaxK: 300, Seed: 42})
-	for _, name := range []string{packName, pack512Name} {
+	for _, name := range []string{pack256Name, pack512Name} {
+		if slices.Contains(e.router.candidates, name) {
+			t.Errorf("%s is a routing candidate beside %s", name, packName)
+		}
 		res := e.Estimate(context.Background(), Query{S: 0, T: 5, K: 200, Estimator: name})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", name, res.Err)

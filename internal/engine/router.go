@@ -25,8 +25,9 @@ import (
 // (after mutations, or on graphs where lazy propagation degenerates)
 // moves traffic within a few horizons.
 //
-// The pack widths are one kernel, bit-identical for one seed, so newEngine
-// makes only PackMC256 a candidate when it is built. Routed answers draw
+// The pack widths give bit-identical values for one seed, so newEngine
+// makes only PackMC, the width whose s-t search meets in the middle, a
+// candidate when it is built. Routed answers draw
 // exactly their k; RSS overdraws (5.7x at k=200 on DBLP_0.2), which is
 // why its error at equal k is lower than pack's (RMSE .009 against .017).
 // At equal drawn samples the two are equivalent, so routing by cost gives
