@@ -155,21 +155,17 @@ func benchPackWorkload(b *testing.B, dataset string, hops int, estimator string)
 }
 
 // BenchmarkPackMC is the word-packed sampler family against the MC
-// baseline at equal K (250, the same budget BenchmarkQuery measures):
+// baseline at equal s-t K (250, the same budget BenchmarkQuery measures):
 // within each <dataset>/h=<hops> group, divide the MC row by a Pack row
-// for the single-thread speedup of packing 64/256/512 worlds per
-// traversal, and the PackMC row by a wide row for the marginal win of the
-// multi-word lanes (fewer traversals, denser per-node masks, and the
-// dense-frontier pull switch). h=2 is the paper's default workload; h=4
-// is its distance-sensitivity regime (Figs. 14–15), where estimates ride
-// long paths, per-sample BFS cost grows, and MC's find-the-target early
-// exit rarely fires — the regime the pack amortization targets (≥5x on
-// the dense mid-probability DBLP_0.2 for 64 lanes, ≥2x again from 64 to
-// the wide widths). Where one BFS dies after a handful of probes
-// (NetHept's low probabilities), plain MC stays ahead: the per-world
-// frontiers are too disjoint for sharing, which is why the engine keeps
-// both and routes per query. bench/BENCH_PR9_kernels.json archives a
-// reference run of this benchmark.
+// for the single-thread speedup of packing worlds. Every pack width
+// answers s-t through the same 64-lane bidirectional search, so the three
+// Pack rows should agree; the wide lanes pay only for source sweeps
+// (internal/core's BenchmarkWidePackSweep). h=2 is the paper's default
+// workload; h=4 is its distance-sensitivity regime (Figs. 14–15), where
+// estimates ride long paths, per-sample BFS cost grows, and MC's
+// find-the-target early exit rarely fires. bench/BENCH_PR9_kernels.json
+// archives a reference run of this benchmark from before the
+// bidirectional search, when the wide rows timed a forward one.
 func BenchmarkPackMC(b *testing.B) {
 	for _, ds := range []string{"lastFM", "NetHept", "AS_Topology", "DBLP_0.2", "DBLP_0.05", "BioMine"} {
 		for _, hops := range []int{2, 4} {
@@ -305,8 +301,9 @@ func BenchmarkEngineSerialized(b *testing.B) {
 
 // BenchmarkPackMCEngineBatch pushes the 64-query batch of
 // engineBenchWorkload through the engine once per estimator: PackMC rides
-// the source-grouped path (one amortized pack sweep per source, 8 sweeps
-// for the batch), MC computes its 64 queries as individual work units.
+// the source-grouped path (dedupe and cache lookups per source, then one
+// bidirectional search per missed target), MC computes its 64 queries as
+// individual work units.
 // Together with BenchmarkEngineBatch (BFS Sharing on the same workload)
 // this is the engine-level view of the word-packing win.
 func BenchmarkPackMCEngineBatch(b *testing.B) {

@@ -13,8 +13,8 @@ import (
 // stays O(index) regardless of Workers — a batch API that groups queries
 // by source so BFS Sharing amortizes one traversal across all targets of
 // a source, ProbTree amortizes its source-side bag expansion across a
-// source group, and PackMC amortizes one pack sweep across a source
-// group, a bounded LRU result cache, and an adaptive per-query
+// source group, and the wide PackMC widths amortize one pack sweep across
+// a source group, a bounded LRU result cache, and an adaptive per-query
 // estimator router driven by analytic bounds width and online latency
 // statistics. Queries carrying an accuracy target (Query.Eps) or latency
 // target (Query.Deadline) run anytime: the engine advances incremental

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"relcomp/internal/datasets"
 	"relcomp/internal/rng"
 	"relcomp/internal/uncertain"
+	"relcomp/internal/workload"
 )
 
 // benchGraph builds a mid-sized random graph with mixed probabilities, the
@@ -62,6 +64,36 @@ func BenchmarkPackVsMCKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bc.est.Estimate(0, t, 1024)
 			}
+		})
+	}
+}
+
+// BenchmarkWidePackSweep times what the wide lanes still serve: a source
+// sweep (EstimateAll) at 64, 256 and 512 lanes on DBLP_0.2 at the paper's
+// k=1000, over the sources of six h=2 pairs. All three widths return
+// bit-identical values, so ms/source compares their costs directly; s-t
+// queries run one 64-lane kernel at every width and are timed by
+// BenchmarkPackVsMCKernel.
+func BenchmarkWidePackSweep(b *testing.B) {
+	g := datasets.DBLP02(1, 42)
+	pairs, err := workload.Pairs(g, 6, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, lanes := range []int{64, 256, 512} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			var est SourceEstimator = NewPackMC(g, 7)
+			if lanes > 64 {
+				est = NewWidePackMC(g, 7, lanes)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pairs {
+					est.EstimateAll(p.S, 1000)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N*len(pairs)), "ms/source")
 		})
 	}
 }

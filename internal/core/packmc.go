@@ -535,27 +535,7 @@ var (
 	_ SourceEstimator      = (*PackMC)(nil)
 	_ SourceSampler        = (*PackMC)(nil)
 	_ Seeder               = (*PackMC)(nil)
-	_ packKernel           = (*PackMC)(nil)
 )
-
-// packKernel is the shardable world-packed sampling surface shared by
-// PackMC (64 lanes) and WidePackMC (256/512 lanes): both draw each
-// 64-world pack's masks from the same counter streams, so ParallelPackMC
-// can shard pack or lane ranges over either kernel and stay bit-identical
-// to the sequential estimator at that width.
-type packKernel interface {
-	sampleRange(base uint64, s, t uncertain.NodeID, k, lo, hi int) int
-	sampleLanes(base uint64, s, t uncertain.NodeID, lo, hi int) int
-}
-
-// newPackKernel builds the sequential kernel for a lane width (64, 256,
-// or 512).
-func newPackKernel(g *uncertain.Graph, seed uint64, lanes int) packKernel {
-	if lanes == 64 {
-		return NewPackMC(g, seed)
-	}
-	return NewWidePackMC(g, seed, lanes)
-}
 
 // ParallelPackMC shards the packs of each PackMC estimate over W worker
 // goroutines, the way ParallelMC shards MC samples. Because PackMC's mask
@@ -571,8 +551,8 @@ type ParallelPackMC struct {
 	seed    uint64
 	round   uint64
 	workers int
-	lanes   int       // worlds per traversal of each worker kernel
-	pool    sync.Pool // packKernel workers
+	lanes   int       // the width the estimator is named for; see NewParallelPackMCLanes
+	pool    sync.Pool // *PackMC workers
 }
 
 // NewParallelPackMC returns a ParallelPackMC with workers goroutines
@@ -581,9 +561,12 @@ func NewParallelPackMC(g *uncertain.Graph, seed uint64, workers int) *ParallelPa
 	return NewParallelPackMCLanes(g, seed, workers, 64)
 }
 
-// NewParallelPackMCLanes is NewParallelPackMC with a chosen worker-kernel
-// width: 64 (PackMC), 256, or 512 (WidePackMC). Values are bit-identical
-// to the sequential kernel at that width for any worker count.
+// NewParallelPackMCLanes is NewParallelPackMC named for a lane width: 64,
+// 256, or 512. Every width shards s-t packs over the same 64-lane
+// bidirectional PackMC workers — the wide kernels only pay for source
+// sweeps, which ParallelPackMC does not run — so lanes changes only the
+// name, and values are bit-identical to PackMC (and to WidePackMC at that
+// width) for any worker count.
 func NewParallelPackMCLanes(g *uncertain.Graph, seed uint64, workers, lanes int) *ParallelPackMC {
 	if lanes != 64 && lanes != 256 && lanes != 512 {
 		panic(fmt.Sprintf("core: ParallelPackMC lanes must be 64, 256, or 512, got %d", lanes))
@@ -592,7 +575,7 @@ func NewParallelPackMCLanes(g *uncertain.Graph, seed uint64, workers, lanes int)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &ParallelPackMC{g: g, seed: seed, workers: workers, lanes: lanes}
-	p.pool.New = func() interface{} { return newPackKernel(g, seed, lanes) }
+	p.pool.New = func() interface{} { return NewPackMC(g, seed) }
 	return p
 }
 
@@ -627,7 +610,7 @@ func (p *ParallelPackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 		workers = packs
 	}
 	if workers <= 1 {
-		pm := p.pool.Get().(packKernel)
+		pm := p.pool.Get().(*PackMC)
 		hits := pm.sampleRange(base, s, t, k, 0, packs)
 		p.pool.Put(pm)
 		return float64(hits) / float64(k)
@@ -640,7 +623,7 @@ func (p *ParallelPackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 			share++
 		}
 		go func(lo, hi int) {
-			pm := p.pool.Get().(packKernel)
+			pm := p.pool.Get().(*PackMC)
 			hits := pm.sampleRange(base, s, t, k, lo, hi)
 			p.pool.Put(pm)
 			results <- hits
@@ -659,9 +642,6 @@ func (p *ParallelPackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 // instance.
 func (p *ParallelPackMC) MemoryBytes() int64 {
 	per := packScratchBytes(p.g.NumNodes(), p.g.NumEdges()) + 2*packQueueCap*4
-	if p.lanes > 64 {
-		per = wideScratchBytes(p.g.NumNodes(), p.g.NumEdges(), p.lanes/64) + packQueueCap*4
-	}
 	return per * int64(p.workers)
 }
 
@@ -701,7 +681,7 @@ func (x *parallelPackSampler) Advance(dk int) {
 		workers = packs
 	}
 	if workers <= 1 {
-		pm := p.pool.Get().(packKernel)
+		pm := p.pool.Get().(*PackMC)
 		hits := pm.sampleLanes(x.base, x.s, x.t, lo, hi)
 		p.pool.Put(pm)
 		x.hits += hits
@@ -722,7 +702,7 @@ func (x *parallelPackSampler) Advance(dk int) {
 			if lb > hi {
 				lb = hi
 			}
-			pm := p.pool.Get().(packKernel)
+			pm := p.pool.Get().(*PackMC)
 			hits := pm.sampleLanes(x.base, x.s, x.t, la, lb)
 			p.pool.Put(pm)
 			results <- hits

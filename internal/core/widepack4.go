@@ -7,16 +7,17 @@ import (
 	"relcomp/internal/uncertain"
 )
 
-// This file is the unrolled 256-lane kernel: one [4]uint64 lane group per
-// node and edge, every word-group operation written as four scalar
-// expressions so the masks live in registers, with a single interleaved
-// cache line per node (mask+sent) and per edge (mask+decided). The
-// 512-lane kernel delegates here whenever a wide pack's upper four words
-// carry no live worlds (any lane budget ≤ 256 into the group), so this is
-// also the 512-lane fast path at small k.
+// This file is the unrolled 256-lane source-sweep kernel: one [4]uint64
+// lane group per node and edge, every word-group operation written as
+// four scalar expressions so the masks live in registers, with a single
+// interleaved cache line per node (mask+sent) and per edge (mask+decided).
+// The 512-lane kernel delegates here whenever a wide pack's upper four
+// words carry no live worlds (any lane budget ≤ 256 into the group), so
+// this is also the 512-lane fast path at small k. It serves EstimateAll
+// and AllSampler only; s-t queries run PackMC's bidirectional search.
 //
-// The traversal has two modes. Sparse: PackMC's cascading worklist —
-// cost proportional to the frontier, nodes processed in discovery order,
+// The sweep has two modes. Sparse: PackMC's cascading worklist — cost
+// proportional to the frontier, nodes processed in discovery order,
 // re-pushed whenever their mask grows. Dense: once the worklist backlog
 // crosses pm.denseThreshold, the remaining cascade runs
 // level-synchronously over a frontier bitmap — each level visits its
@@ -27,13 +28,15 @@ import (
 // pushing a queue entry. Edge masks are pure counter functions of
 // (base, pack, edge), so the mode switch reorders work without moving any
 // value (asserted by TestWidePackMCDenseSwitchBitIdentical).
+//
+// Every node mask stays within the active lanes — the root starts with
+// exactly them, and growth is always a subset of a sender's mask — so the
+// kernels never re-mask by active.
 
-// runWide4 propagates one 4-word pack group from s whose 64-world packs
-// start at packBase, accumulating the lanes in which t was reached into
-// tMask (word ww covers 64-world pack packBase+ww). A negative t disables
-// the target and records every stamped node in pm.touched with its
-// fixpoint word group left in pm.nodes4 — EstimateAll mode.
-func (pm *WidePackMC) runWide4(base, packBase uint64, s, t uncertain.NodeID, active, tMask *[4]uint64) {
+// runWide4 propagates one 4-word pack group from s, whose 64-world packs
+// start at packBase, to its fixpoint, and records every stamped node in
+// pm.touched with its word group left in pm.nodes4.
+func (pm *WidePackMC) runWide4(base, packBase uint64, s uncertain.NodeID, active *[4]uint64) {
 	g := pm.g
 	if pm.nodes4 == nil {
 		pm.nodes4 = make([]wideNode4, g.NumNodes())
@@ -43,17 +46,11 @@ func (pm *WidePackMC) runWide4(base, packBase uint64, s, t uncertain.NodeID, act
 	ep := pm.epoch
 	epq := uint64(ep)<<32 | uint64(ep) // stamped and queued
 	nodes := pm.nodes4
-	a0, a1, a2, a3 := active[0], active[1], active[2], active[3]
 	ns := &nodes[s]
 	ns.mask = *active
 	ns.sent = [4]uint64{}
 	pm.nstamp[s] = epq
-	if t < 0 {
-		pm.touched = append(pm.touched[:0], s)
-	}
-	// t0..t3 accumulate target hits; l0..l3 are the still-live lanes.
-	t0, t1, t2, t3 := tMask[0], tMask[1], tMask[2], tMask[3]
-	l0, l1, l2, l3 := a0&^t0, a1&^t1, a2&^t2, a3&^t3
+	pm.touched = append(pm.touched[:0], s)
 	q := append(pm.queue[:0], s)
 	for head := 0; head < len(q); head++ {
 		if dt := pm.denseThreshold; dt > 0 && len(q)-head > dt {
@@ -64,17 +61,16 @@ func (pm *WidePackMC) runWide4(base, packBase uint64, s, t uncertain.NodeID, act
 			for _, u := range q[head:] {
 				cur[uint32(u)>>6] |= 1 << (uint32(u) & 63)
 			}
-			tMask[0], tMask[1], tMask[2], tMask[3] = t0, t1, t2, t3
-			pm.denseWide4(base, packBase, t, active, tMask, cur, next)
+			pm.denseWide4(base, packBase, cur, next)
 			return
 		}
 		v := q[head]
 		pm.nstamp[v] = uint64(ep) // still stamped, no longer queued
 		nv := &nodes[v]
-		m0 := (nv.mask[0] &^ nv.sent[0]) & l0
-		m1 := (nv.mask[1] &^ nv.sent[1]) & l1
-		m2 := (nv.mask[2] &^ nv.sent[2]) & l2
-		m3 := (nv.mask[3] &^ nv.sent[3]) & l3
+		m0 := nv.mask[0] &^ nv.sent[0]
+		m1 := nv.mask[1] &^ nv.sent[1]
+		m2 := nv.mask[2] &^ nv.sent[2]
+		m3 := nv.mask[3] &^ nv.sent[3]
 		if m0|m1|m2|m3 == 0 {
 			continue
 		}
@@ -83,50 +79,6 @@ func (pm *WidePackMC) runWide4(base, packBase uint64, s, t uncertain.NodeID, act
 		ids := g.OutEdgeIDs(v)
 		lo, _ := g.OutSpan(v)
 		for i, dst := range outs {
-			if dst == t {
-				n0 := m0 &^ t0
-				n1 := m1 &^ t1
-				n2 := m2 &^ t2
-				n3 := m3 &^ t3
-				if n0|n1|n2|n3 == 0 {
-					continue
-				}
-				slot := lo + i
-				ee := &pm.edges4[slot]
-				if pm.edgeEpoch[slot] != ep ||
-					(n0&^ee.dec[0])|(n1&^ee.dec[1])|(n2&^ee.dec[2])|(n3&^ee.dec[3]) != 0 {
-					pm.drawEdge4(base, packBase, ids[i], slot, n0, n1, n2, n3)
-				}
-				h0 := n0 & ee.mask[0]
-				h1 := n1 & ee.mask[1]
-				h2 := n2 & ee.mask[2]
-				h3 := n3 & ee.mask[3]
-				if h0|h1|h2|h3 == 0 {
-					continue
-				}
-				t0 |= h0
-				t1 |= h1
-				t2 |= h2
-				t3 |= h3
-				l0 = a0 &^ t0
-				l1 = a1 &^ t1
-				l2 = a2 &^ t2
-				l3 = a3 &^ t3
-				if l0|l1|l2|l3 == 0 {
-					// Every live world of every word reached t.
-					pm.queue = q
-					tMask[0], tMask[1], tMask[2], tMask[3] = t0, t1, t2, t3
-					return
-				}
-				m0 &= l0
-				m1 &= l1
-				m2 &= l2
-				m3 &= l3
-				if m0|m1|m2|m3 == 0 {
-					break
-				}
-				continue
-			}
 			st := pm.nstamp[dst]
 			nw := &nodes[dst]
 			if uint32(st) != ep {
@@ -134,9 +86,7 @@ func (pm *WidePackMC) runWide4(base, packBase uint64, s, t uncertain.NodeID, act
 				nw.sent = [4]uint64{}
 				st = uint64(ep)
 				pm.nstamp[dst] = st
-				if t < 0 {
-					pm.touched = append(pm.touched, dst)
-				}
+				pm.touched = append(pm.touched, dst)
 			}
 			n0 := m0 &^ nw.mask[0]
 			n1 := m1 &^ nw.mask[1]
@@ -171,21 +121,17 @@ func (pm *WidePackMC) runWide4(base, packBase uint64, s, t uncertain.NodeID, act
 		}
 	}
 	pm.queue = q
-	tMask[0], tMask[1], tMask[2], tMask[3] = t0, t1, t2, t3
 }
 
 // denseWide4 finishes a 4-word pack level-synchronously: cur holds the
 // current frontier as a node bitmap, the pop body is the sparse kernel's,
 // and mask growth sets bits in next instead of pushing queue entries.
-// Levels repeat until no mask grows (the cascade's fixpoint) or every
-// live world has reached t.
-func (pm *WidePackMC) denseWide4(base, packBase uint64, t uncertain.NodeID, active, tMask *[4]uint64, cur, next []uint64) {
+// Levels repeat until no mask grows — the cascade's fixpoint, where both
+// bitmaps are empty again.
+func (pm *WidePackMC) denseWide4(base, packBase uint64, cur, next []uint64) {
 	g := pm.g
 	ep := pm.epoch
 	nodes := pm.nodes4
-	a0, a1, a2, a3 := active[0], active[1], active[2], active[3]
-	t0, t1, t2, t3 := tMask[0], tMask[1], tMask[2], tMask[3]
-	l0, l1, l2, l3 := a0&^t0, a1&^t1, a2&^t2, a3&^t3
 	for {
 		grewAny := false
 		for wi := range cur {
@@ -199,10 +145,10 @@ func (pm *WidePackMC) denseWide4(base, packBase uint64, t uncertain.NodeID, acti
 				v := uncertain.NodeID(vbase + uint32(bits.TrailingZeros64(bw)))
 				bw &= bw - 1
 				nv := &nodes[v]
-				m0 := (nv.mask[0] &^ nv.sent[0]) & l0
-				m1 := (nv.mask[1] &^ nv.sent[1]) & l1
-				m2 := (nv.mask[2] &^ nv.sent[2]) & l2
-				m3 := (nv.mask[3] &^ nv.sent[3]) & l3
+				m0 := nv.mask[0] &^ nv.sent[0]
+				m1 := nv.mask[1] &^ nv.sent[1]
+				m2 := nv.mask[2] &^ nv.sent[2]
+				m3 := nv.mask[3] &^ nv.sent[3]
 				if m0|m1|m2|m3 == 0 {
 					continue
 				}
@@ -211,56 +157,12 @@ func (pm *WidePackMC) denseWide4(base, packBase uint64, t uncertain.NodeID, acti
 				ids := g.OutEdgeIDs(v)
 				lo, _ := g.OutSpan(v)
 				for i, dst := range outs {
-					if dst == t {
-						n0 := m0 &^ t0
-						n1 := m1 &^ t1
-						n2 := m2 &^ t2
-						n3 := m3 &^ t3
-						if n0|n1|n2|n3 == 0 {
-							continue
-						}
-						slot := lo + i
-						ee := &pm.edges4[slot]
-						if pm.edgeEpoch[slot] != ep ||
-							(n0&^ee.dec[0])|(n1&^ee.dec[1])|(n2&^ee.dec[2])|(n3&^ee.dec[3]) != 0 {
-							pm.drawEdge4(base, packBase, ids[i], slot, n0, n1, n2, n3)
-						}
-						h0 := n0 & ee.mask[0]
-						h1 := n1 & ee.mask[1]
-						h2 := n2 & ee.mask[2]
-						h3 := n3 & ee.mask[3]
-						if h0|h1|h2|h3 == 0 {
-							continue
-						}
-						t0 |= h0
-						t1 |= h1
-						t2 |= h2
-						t3 |= h3
-						l0 = a0 &^ t0
-						l1 = a1 &^ t1
-						l2 = a2 &^ t2
-						l3 = a3 &^ t3
-						if l0|l1|l2|l3 == 0 {
-							tMask[0], tMask[1], tMask[2], tMask[3] = t0, t1, t2, t3
-							return
-						}
-						m0 &= l0
-						m1 &= l1
-						m2 &= l2
-						m3 &= l3
-						if m0|m1|m2|m3 == 0 {
-							break
-						}
-						continue
-					}
 					nw := &nodes[dst]
 					if uint32(pm.nstamp[dst]) != ep {
 						nw.mask = [4]uint64{}
 						nw.sent = [4]uint64{}
 						pm.nstamp[dst] = uint64(ep)
-						if t < 0 {
-							pm.touched = append(pm.touched, dst)
-						}
+						pm.touched = append(pm.touched, dst)
 					}
 					n0 := m0 &^ nw.mask[0]
 					n1 := m1 &^ nw.mask[1]
@@ -292,7 +194,6 @@ func (pm *WidePackMC) denseWide4(base, packBase uint64, t uncertain.NodeID, acti
 			}
 		}
 		if !grewAny {
-			tMask[0], tMask[1], tMask[2], tMask[3] = t0, t1, t2, t3
 			return
 		}
 		cur, next = next, cur

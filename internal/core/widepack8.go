@@ -7,18 +7,17 @@ import (
 	"relcomp/internal/uncertain"
 )
 
-// This file is the unrolled 512-lane kernel: one [8]uint64 lane group per
-// node and edge (two interleaved cache lines), with the same sparse
-// worklist / dense bitmap structure as the 256-lane kernel in
+// This file is the unrolled 512-lane source-sweep kernel: one [8]uint64
+// lane group per node and edge (two interleaved cache lines), with the
+// same sparse worklist / dense bitmap structure as the 256-lane kernel in
 // widepack4.go. It only runs for wide packs whose upper four words carry
 // live worlds — groups with ≤ 256 live lanes delegate to the 4-word
 // kernel (see runWidePack), which draws from the identical counter
 // streams.
 
-// runWide8 propagates one 8-word pack group from s whose 64-world packs
-// start at packBase, accumulating the lanes in which t was reached into
-// tMask. A negative t is EstimateAll mode, as in runWide4.
-func (pm *WidePackMC) runWide8(base, packBase uint64, s, t uncertain.NodeID, active, tMask *[8]uint64) {
+// runWide8 propagates one 8-word pack group from s, whose 64-world packs
+// start at packBase, to its fixpoint, as runWide4 does for 4-word groups.
+func (pm *WidePackMC) runWide8(base, packBase uint64, s uncertain.NodeID, active *[8]uint64) {
 	g := pm.g
 	if pm.nodes8 == nil {
 		pm.nodes8 = make([]wideNode8, g.NumNodes())
@@ -28,19 +27,11 @@ func (pm *WidePackMC) runWide8(base, packBase uint64, s, t uncertain.NodeID, act
 	ep := pm.epoch
 	epq := uint64(ep)<<32 | uint64(ep)
 	nodes := pm.nodes8
-	a0, a1, a2, a3 := active[0], active[1], active[2], active[3]
-	a4, a5, a6, a7 := active[4], active[5], active[6], active[7]
 	ns := &nodes[s]
 	ns.mask = *active
 	ns.sent = [8]uint64{}
 	pm.nstamp[s] = epq
-	if t < 0 {
-		pm.touched = append(pm.touched[:0], s)
-	}
-	t0, t1, t2, t3 := tMask[0], tMask[1], tMask[2], tMask[3]
-	t4, t5, t6, t7 := tMask[4], tMask[5], tMask[6], tMask[7]
-	l0, l1, l2, l3 := a0&^t0, a1&^t1, a2&^t2, a3&^t3
-	l4, l5, l6, l7 := a4&^t4, a5&^t5, a6&^t6, a7&^t7
+	pm.touched = append(pm.touched[:0], s)
 	q := append(pm.queue[:0], s)
 	for head := 0; head < len(q); head++ {
 		if dt := pm.denseThreshold; dt > 0 && len(q)-head > dt {
@@ -49,21 +40,20 @@ func (pm *WidePackMC) runWide8(base, packBase uint64, s, t uncertain.NodeID, act
 			for _, u := range q[head:] {
 				cur[uint32(u)>>6] |= 1 << (uint32(u) & 63)
 			}
-			*tMask = [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7}
-			pm.denseWide8(base, packBase, t, active, tMask, cur, next)
+			pm.denseWide8(base, packBase, cur, next)
 			return
 		}
 		v := q[head]
 		pm.nstamp[v] = uint64(ep)
 		nv := &nodes[v]
-		m0 := (nv.mask[0] &^ nv.sent[0]) & l0
-		m1 := (nv.mask[1] &^ nv.sent[1]) & l1
-		m2 := (nv.mask[2] &^ nv.sent[2]) & l2
-		m3 := (nv.mask[3] &^ nv.sent[3]) & l3
-		m4 := (nv.mask[4] &^ nv.sent[4]) & l4
-		m5 := (nv.mask[5] &^ nv.sent[5]) & l5
-		m6 := (nv.mask[6] &^ nv.sent[6]) & l6
-		m7 := (nv.mask[7] &^ nv.sent[7]) & l7
+		m0 := nv.mask[0] &^ nv.sent[0]
+		m1 := nv.mask[1] &^ nv.sent[1]
+		m2 := nv.mask[2] &^ nv.sent[2]
+		m3 := nv.mask[3] &^ nv.sent[3]
+		m4 := nv.mask[4] &^ nv.sent[4]
+		m5 := nv.mask[5] &^ nv.sent[5]
+		m6 := nv.mask[6] &^ nv.sent[6]
+		m7 := nv.mask[7] &^ nv.sent[7]
 		if m0|m1|m2|m3|m4|m5|m6|m7 == 0 {
 			continue
 		}
@@ -72,70 +62,6 @@ func (pm *WidePackMC) runWide8(base, packBase uint64, s, t uncertain.NodeID, act
 		ids := g.OutEdgeIDs(v)
 		lo, _ := g.OutSpan(v)
 		for i, dst := range outs {
-			if dst == t {
-				n0 := m0 &^ t0
-				n1 := m1 &^ t1
-				n2 := m2 &^ t2
-				n3 := m3 &^ t3
-				n4 := m4 &^ t4
-				n5 := m5 &^ t5
-				n6 := m6 &^ t6
-				n7 := m7 &^ t7
-				if n0|n1|n2|n3|n4|n5|n6|n7 == 0 {
-					continue
-				}
-				slot := lo + i
-				ee := &pm.edges8[slot]
-				if pm.edgeEpoch[slot] != ep ||
-					(n0&^ee.dec[0])|(n1&^ee.dec[1])|(n2&^ee.dec[2])|(n3&^ee.dec[3])|
-						(n4&^ee.dec[4])|(n5&^ee.dec[5])|(n6&^ee.dec[6])|(n7&^ee.dec[7]) != 0 {
-					pm.drawEdge8(base, packBase, ids[i], slot, n0, n1, n2, n3, n4, n5, n6, n7)
-				}
-				h0 := n0 & ee.mask[0]
-				h1 := n1 & ee.mask[1]
-				h2 := n2 & ee.mask[2]
-				h3 := n3 & ee.mask[3]
-				h4 := n4 & ee.mask[4]
-				h5 := n5 & ee.mask[5]
-				h6 := n6 & ee.mask[6]
-				h7 := n7 & ee.mask[7]
-				if h0|h1|h2|h3|h4|h5|h6|h7 == 0 {
-					continue
-				}
-				t0 |= h0
-				t1 |= h1
-				t2 |= h2
-				t3 |= h3
-				t4 |= h4
-				t5 |= h5
-				t6 |= h6
-				t7 |= h7
-				l0 = a0 &^ t0
-				l1 = a1 &^ t1
-				l2 = a2 &^ t2
-				l3 = a3 &^ t3
-				l4 = a4 &^ t4
-				l5 = a5 &^ t5
-				l6 = a6 &^ t6
-				l7 = a7 &^ t7
-				if l0|l1|l2|l3|l4|l5|l6|l7 == 0 {
-					pm.queue = q
-					*tMask = [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7}
-					return
-				}
-				m0 &= l0
-				m1 &= l1
-				m2 &= l2
-				m3 &= l3
-				m4 &= l4
-				m5 &= l5
-				m6 &= l6
-				m7 &= l7
-				if m0|m1|m2|m3|m4|m5|m6|m7 == 0 {
-					break
-				}
-				continue
-			}
 			st := pm.nstamp[dst]
 			nw := &nodes[dst]
 			if uint32(st) != ep {
@@ -143,9 +69,7 @@ func (pm *WidePackMC) runWide8(base, packBase uint64, s, t uncertain.NodeID, act
 				nw.sent = [8]uint64{}
 				st = uint64(ep)
 				pm.nstamp[dst] = st
-				if t < 0 {
-					pm.touched = append(pm.touched, dst)
-				}
+				pm.touched = append(pm.touched, dst)
 			}
 			n0 := m0 &^ nw.mask[0]
 			n1 := m1 &^ nw.mask[1]
@@ -191,21 +115,14 @@ func (pm *WidePackMC) runWide8(base, packBase uint64, s, t uncertain.NodeID, act
 		}
 	}
 	pm.queue = q
-	*tMask = [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7}
 }
 
 // denseWide8 finishes an 8-word pack level-synchronously over the
 // frontier bitmaps, exactly as denseWide4 does for 4-word packs.
-func (pm *WidePackMC) denseWide8(base, packBase uint64, t uncertain.NodeID, active, tMask *[8]uint64, cur, next []uint64) {
+func (pm *WidePackMC) denseWide8(base, packBase uint64, cur, next []uint64) {
 	g := pm.g
 	ep := pm.epoch
 	nodes := pm.nodes8
-	a0, a1, a2, a3 := active[0], active[1], active[2], active[3]
-	a4, a5, a6, a7 := active[4], active[5], active[6], active[7]
-	t0, t1, t2, t3 := tMask[0], tMask[1], tMask[2], tMask[3]
-	t4, t5, t6, t7 := tMask[4], tMask[5], tMask[6], tMask[7]
-	l0, l1, l2, l3 := a0&^t0, a1&^t1, a2&^t2, a3&^t3
-	l4, l5, l6, l7 := a4&^t4, a5&^t5, a6&^t6, a7&^t7
 	for {
 		grewAny := false
 		for wi := range cur {
@@ -219,14 +136,14 @@ func (pm *WidePackMC) denseWide8(base, packBase uint64, t uncertain.NodeID, acti
 				v := uncertain.NodeID(vbase + uint32(bits.TrailingZeros64(bw)))
 				bw &= bw - 1
 				nv := &nodes[v]
-				m0 := (nv.mask[0] &^ nv.sent[0]) & l0
-				m1 := (nv.mask[1] &^ nv.sent[1]) & l1
-				m2 := (nv.mask[2] &^ nv.sent[2]) & l2
-				m3 := (nv.mask[3] &^ nv.sent[3]) & l3
-				m4 := (nv.mask[4] &^ nv.sent[4]) & l4
-				m5 := (nv.mask[5] &^ nv.sent[5]) & l5
-				m6 := (nv.mask[6] &^ nv.sent[6]) & l6
-				m7 := (nv.mask[7] &^ nv.sent[7]) & l7
+				m0 := nv.mask[0] &^ nv.sent[0]
+				m1 := nv.mask[1] &^ nv.sent[1]
+				m2 := nv.mask[2] &^ nv.sent[2]
+				m3 := nv.mask[3] &^ nv.sent[3]
+				m4 := nv.mask[4] &^ nv.sent[4]
+				m5 := nv.mask[5] &^ nv.sent[5]
+				m6 := nv.mask[6] &^ nv.sent[6]
+				m7 := nv.mask[7] &^ nv.sent[7]
 				if m0|m1|m2|m3|m4|m5|m6|m7 == 0 {
 					continue
 				}
@@ -235,77 +152,12 @@ func (pm *WidePackMC) denseWide8(base, packBase uint64, t uncertain.NodeID, acti
 				ids := g.OutEdgeIDs(v)
 				lo, _ := g.OutSpan(v)
 				for i, dst := range outs {
-					if dst == t {
-						n0 := m0 &^ t0
-						n1 := m1 &^ t1
-						n2 := m2 &^ t2
-						n3 := m3 &^ t3
-						n4 := m4 &^ t4
-						n5 := m5 &^ t5
-						n6 := m6 &^ t6
-						n7 := m7 &^ t7
-						if n0|n1|n2|n3|n4|n5|n6|n7 == 0 {
-							continue
-						}
-						slot := lo + i
-						ee := &pm.edges8[slot]
-						if pm.edgeEpoch[slot] != ep ||
-							(n0&^ee.dec[0])|(n1&^ee.dec[1])|(n2&^ee.dec[2])|(n3&^ee.dec[3])|
-								(n4&^ee.dec[4])|(n5&^ee.dec[5])|(n6&^ee.dec[6])|(n7&^ee.dec[7]) != 0 {
-							pm.drawEdge8(base, packBase, ids[i], slot, n0, n1, n2, n3, n4, n5, n6, n7)
-						}
-						h0 := n0 & ee.mask[0]
-						h1 := n1 & ee.mask[1]
-						h2 := n2 & ee.mask[2]
-						h3 := n3 & ee.mask[3]
-						h4 := n4 & ee.mask[4]
-						h5 := n5 & ee.mask[5]
-						h6 := n6 & ee.mask[6]
-						h7 := n7 & ee.mask[7]
-						if h0|h1|h2|h3|h4|h5|h6|h7 == 0 {
-							continue
-						}
-						t0 |= h0
-						t1 |= h1
-						t2 |= h2
-						t3 |= h3
-						t4 |= h4
-						t5 |= h5
-						t6 |= h6
-						t7 |= h7
-						l0 = a0 &^ t0
-						l1 = a1 &^ t1
-						l2 = a2 &^ t2
-						l3 = a3 &^ t3
-						l4 = a4 &^ t4
-						l5 = a5 &^ t5
-						l6 = a6 &^ t6
-						l7 = a7 &^ t7
-						if l0|l1|l2|l3|l4|l5|l6|l7 == 0 {
-							*tMask = [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7}
-							return
-						}
-						m0 &= l0
-						m1 &= l1
-						m2 &= l2
-						m3 &= l3
-						m4 &= l4
-						m5 &= l5
-						m6 &= l6
-						m7 &= l7
-						if m0|m1|m2|m3|m4|m5|m6|m7 == 0 {
-							break
-						}
-						continue
-					}
 					nw := &nodes[dst]
 					if uint32(pm.nstamp[dst]) != ep {
 						nw.mask = [8]uint64{}
 						nw.sent = [8]uint64{}
 						pm.nstamp[dst] = uint64(ep)
-						if t < 0 {
-							pm.touched = append(pm.touched, dst)
-						}
+						pm.touched = append(pm.touched, dst)
 					}
 					n0 := m0 &^ nw.mask[0]
 					n1 := m1 &^ nw.mask[1]
@@ -350,7 +202,6 @@ func (pm *WidePackMC) denseWide8(base, packBase uint64, t uncertain.NodeID, acti
 			}
 		}
 		if !grewAny {
-			*tMask = [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7}
 			return
 		}
 		cur, next = next, cur

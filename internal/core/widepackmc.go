@@ -9,17 +9,23 @@ import (
 	"relcomp/internal/uncertain"
 )
 
-// WidePackMC generalizes PackMC from one 64-bit machine word to lane
-// groups of 4 or 8 words — 256 or 512 possible worlds per graph
-// traversal. One wide traversal does the work of 4 (or 8) consecutive
-// PackMC packs: the worklist is walked once, each node's CSR row is
-// scanned once, and each edge's epoch is checked once for the whole
-// group, so the per-pack bookkeeping that dominates PackMC on
-// mid-probability graphs is amortized w-fold.
+// WidePackMC is PackMC at 256 or 512 lanes: the same estimator, with
+// source sweeps (EstimateAll, AllSampler) run over lane groups of 4 or 8
+// words — 256 or 512 possible worlds per graph traversal. One wide sweep
+// does the work of 4 (or 8) consecutive PackMC packs: the worklist is
+// walked once, each node's CSR row is scanned once, and each edge's epoch
+// is checked once for the whole group, so the per-pack bookkeeping that
+// dominates a 64-lane sweep on mid-probability graphs is amortized w-fold.
 //
-// The hot kernels (widepack4.go, widepack8.go) are fully unrolled over
-// the lane group: masks live in scalar locals the register allocator can
-// keep out of memory, and a node's (mask, sent) pair — like an edge's
+// s-t queries (Estimate, Sampler) do not use the wide lanes: they run
+// PackMC's 64-lane bidirectional search over the same packs, on a PackMC
+// kernel the instance builds on its first s-t query. A search that meets
+// in the middle pops ~100 nodes per pack, where any forward search to t —
+// however wide — drains most of s's second shell.
+//
+// The hot sweep kernels (widepack4.go, widepack8.go) are fully unrolled
+// over the lane group: masks live in scalar locals the register allocator
+// can keep out of memory, and a node's (mask, sent) pair — like an edge's
 // (mask, decided) pair — is one interleaved 64-byte group, so a random
 // node or edge probe at 256 lanes touches exactly one cache line where
 // four separate PackMC sweeps would take four dependent misses spread
@@ -32,24 +38,23 @@ import (
 // the same (seed, round), hit counts are additive over any partition of
 // the lane range, and Estimate / EstimateAll / Sampler / AllSampler all
 // return bit-identical values to PackMC at every width, for any traversal
-// order, early exit, chunking, or sharding (asserted by the package's
-// width-identity tests). A corollary the 512-lane kernel exploits: a wide
-// pack whose upper four words carry no live worlds (any budget ≤ 256
-// lanes into the group) is exactly a 4-word pack over 64-packs
-// J·8 .. J·8+3, so it runs on the 4-word kernel and pays 4-word costs.
+// order, chunking, or sharding (asserted by the package's width-identity
+// tests). A corollary the 512-lane kernel exploits: a wide pack whose
+// upper four words carry no live worlds (any budget ≤ 256 lanes into the
+// group) is exactly a 4-word pack over 64-packs J·8 .. J·8+3, so it runs
+// on the 4-word kernel and pays 4-word costs.
 //
-// Traversal is frontier-compressed and direction-aware: the sparse mode
-// is PackMC's cascading worklist (cost proportional to the frontier,
-// discovery order), and when the worklist backlog crosses a fixed
-// fraction of the graph the pack switches to a dense mode that runs the
-// remaining cascade level-synchronously over a frontier bitmap — nodes
-// are visited in ascending id order (the forward direction of the CSR,
-// which after degree relabeling streams the hub-dense low ids
-// sequentially), each node at most once per level however many times its
-// mask grew, and the next level's frontier is built by setting bits
-// instead of pushing queue entries. Because edge masks are pure counter
-// functions, the switch only reorders work and is invisible in the
-// values.
+// A sweep is frontier-compressed: the sparse mode is PackMC's cascading
+// worklist (cost proportional to the frontier, discovery order), and when
+// the worklist backlog crosses a fixed fraction of the graph the pack
+// switches to a dense mode that runs the remaining cascade
+// level-synchronously over a frontier bitmap — nodes are visited in
+// ascending id order (the forward direction of the CSR, which after
+// degree relabeling streams the hub-dense low ids sequentially), each
+// node at most once per level however many times its mask grew, and the
+// next level's frontier is built by setting bits instead of pushing queue
+// entries. Because edge masks are pure counter functions, the switch only
+// reorders work and is invisible in the values.
 //
 // Per-query scratch that scales with the graph (multi-target hit counts)
 // comes from an instance-owned arena (internal/arena) reused across
@@ -62,6 +67,11 @@ type WidePackMC struct {
 	// round counts queries since the last Reseed, exactly like PackMC.
 	round uint64
 	w     int // words per wide pack: 4 (256 lanes) or 8 (512 lanes)
+
+	// st is the 64-lane kernel that answers s-t queries, built on the
+	// first one; only its sampleRange/sampleLanes are used, from this
+	// instance's stream base, so its own seed and round never matter.
+	st *PackMC
 
 	// Pack-local state, invalidated wholesale by bumping epoch.
 	// nstamp packs a node's two stamps into one word — low half "mask is
@@ -76,7 +86,7 @@ type WidePackMC struct {
 	edgeEpoch []uint32
 	qfix      []uint64 // per-slot probability in rng.FixedProb fixed point
 	queue     []uncertain.NodeID
-	touched   []uncertain.NodeID // nodes stamped this pack (EstimateAll mode)
+	touched   []uncertain.NodeID // nodes stamped this pack
 
 	// Width-specific node/edge word groups, allocated on first use: a
 	// 512-lane instance whose queries never exceed 256 live lanes per
@@ -200,17 +210,19 @@ func (pm *WidePackMC) Reseed(seed uint64) {
 func (pm *WidePackMC) ScratchArena() *arena.Arena { return &pm.scratch }
 
 // SetDenseThreshold overrides the worklist-occupancy switch point between
-// the sparse (queue-driven) and dense (level-synchronous bitmap) traversal
-// modes. The default is NumNodes/8; 0 disables the dense mode entirely.
-// Both modes compute bit-identical results — this knob only trades queue
-// bookkeeping against bitmap scans, so callers may tune it freely per
-// workload.
+// the sparse (queue-driven) and dense (level-synchronous bitmap) modes of
+// a source sweep (EstimateAll, AllSampler); s-t queries never read it. The
+// default is NumNodes/2 (denseSwitchDen); 0 disables the dense mode
+// entirely. Both modes compute bit-identical results — this knob only
+// trades queue bookkeeping against bitmap scans, so callers may tune it
+// freely per workload.
 func (pm *WidePackMC) SetDenseThreshold(occupancy int) {
 	pm.denseThreshold = occupancy
 }
 
 // Estimate implements Estimator, bit-identical to PackMC.Estimate for the
-// same (seed, round) state at any width.
+// same (seed, round) state: the packs of the budget run on the 64-lane
+// bidirectional kernel, from this instance's stream base.
 func (pm *WidePackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	mustValidQuery(pm.g, s, t, k)
 	if s == t {
@@ -218,63 +230,17 @@ func (pm *WidePackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	}
 	pm.round++
 	pm.scratch.Reset()
-	hits := pm.sampleRange(mix(pm.seed, pm.round, 0), s, t, k, 0, numPacks(k))
+	hits := pm.stKernel().sampleRange(mix(pm.seed, pm.round, 0), s, t, k, 0, numPacks(k))
 	return float64(hits) / float64(k)
 }
 
-// sampleRange runs 64-world packs [lo, hi) of a k-sample budget, grouped
-// into wide packs, and returns in how many of their worlds t was reached.
-// The range need not be aligned to the wide width: packs outside [lo, hi)
-// ride along with zero active lanes, so shard boundaries (ParallelPackMC
-// sharding) can split a wide pack without changing any value.
-func (pm *WidePackMC) sampleRange(base uint64, s, t uncertain.NodeID, k, lo, hi int) int {
-	hits := 0
-	w := pm.w
-	var active, tm [maxWideWords]uint64
-	for j := lo; j < hi; {
-		wp := j / w
-		end := (wp + 1) * w
-		if end > hi {
-			end = hi
-		}
-		for ww := 0; ww < w; ww++ {
-			active[ww] = 0
-			tm[ww] = 0
-		}
-		for ; j < end; j++ {
-			active[j-wp*w] = activeLanes(j, k)
-		}
-		pm.runWidePack(base, uint64(wp), s, t, &active, &tm)
-		for ww := 0; ww < w; ww++ {
-			hits += bits.OnesCount64(tm[ww])
-		}
+// stKernel returns the 64-lane s-t kernel, building it on first use, so
+// an instance that only sweeps never pays for it.
+func (pm *WidePackMC) stKernel() *PackMC {
+	if pm.st == nil {
+		pm.st = NewPackMC(pm.g, pm.seed)
 	}
-	return hits
-}
-
-// sampleLanes runs the worlds of the global lane range [lo, hi), grouped
-// into wide packs; hit counts are additive over any partition of the lane
-// range, exactly as for PackMC.
-func (pm *WidePackMC) sampleLanes(base uint64, s, t uncertain.NodeID, lo, hi int) int {
-	hits := 0
-	w := pm.w
-	var active, tm [maxWideWords]uint64
-	for j := lo >> 6; j*64 < hi; {
-		wp := j / w
-		end := (wp + 1) * w
-		for ww := 0; ww < w; ww++ {
-			active[ww] = 0
-			tm[ww] = 0
-		}
-		for ; j < end && j*64 < hi; j++ {
-			active[j-wp*w] = laneMask(j, lo, hi)
-		}
-		pm.runWidePack(base, uint64(wp), s, t, &active, &tm)
-		for ww := 0; ww < w; ww++ {
-			hits += bits.OnesCount64(tm[ww])
-		}
-	}
-	return hits
+	return pm.st
 }
 
 // EstimateAll implements SourceEstimator: one wide sweep per pack group
@@ -298,11 +264,11 @@ func (pm *WidePackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
 	return out
 }
 
-// accumulateAll runs the lane range [lo, hi) in EstimateAll mode (no
-// target) and adds every touched node's per-world hit count into counts.
+// accumulateAll sweeps the lane range [lo, hi) and adds every touched
+// node's per-world hit count into counts.
 func (pm *WidePackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int, counts []int64) {
 	w := pm.w
-	var active, tm [maxWideWords]uint64
+	var active [maxWideWords]uint64
 	for j := lo >> 6; j*64 < hi; {
 		wp := j / w
 		end := (wp + 1) * w
@@ -312,7 +278,7 @@ func (pm *WidePackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int,
 		for ; j < end && j*64 < hi; j++ {
 			active[j-wp*w] = laneMask(j, lo, hi)
 		}
-		pm.runWidePack(base, uint64(wp), s, -1, &active, &tm)
+		pm.runWidePack(base, uint64(wp), s, &active)
 		if w == 4 || active[4]|active[5]|active[6]|active[7] == 0 {
 			// The pack ran on the 4-word kernel (native 256-lane width, or a
 			// 512-lane group whose upper words carried no live worlds).
@@ -334,22 +300,21 @@ func (pm *WidePackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int,
 	}
 }
 
-// runWidePack propagates one wide pack from s, accumulating the lanes in
-// which t was reached into tMask (word ww covers 64-world pack wp·w+ww).
-// A negative t disables the target and records every stamped node in
-// pm.touched with its fixpoint word group left behind — EstimateAll mode.
-// 512-lane groups whose upper four words have no live worlds delegate to
-// the 4-word kernel on the same counter streams (see the type comment).
-func (pm *WidePackMC) runWidePack(base, wp uint64, s, t uncertain.NodeID, active, tMask *[maxWideWords]uint64) {
+// runWidePack propagates one wide pack from s to its fixpoint and records
+// every stamped node in pm.touched, its word group left behind (word ww
+// covers 64-world pack wp·w+ww). 512-lane groups whose upper four words
+// have no live worlds delegate to the 4-word kernel on the same counter
+// streams (see the type comment).
+func (pm *WidePackMC) runWidePack(base, wp uint64, s uncertain.NodeID, active *[maxWideWords]uint64) {
 	if pm.w == 4 {
-		pm.runWide4(base, wp*4, s, t, (*[4]uint64)(active[:4]), (*[4]uint64)(tMask[:4]))
+		pm.runWide4(base, wp*4, s, (*[4]uint64)(active[:4]))
 		return
 	}
 	if active[4]|active[5]|active[6]|active[7] == 0 {
-		pm.runWide4(base, wp*8, s, t, (*[4]uint64)(active[:4]), (*[4]uint64)(tMask[:4]))
+		pm.runWide4(base, wp*8, s, (*[4]uint64)(active[:4]))
 		return
 	}
-	pm.runWide8(base, wp*8, s, t, active, tMask)
+	pm.runWide8(base, wp*8, s, active)
 }
 
 // nextPack invalidates all wide-pack scratch in O(1), with the same
@@ -364,23 +329,20 @@ func (pm *WidePackMC) nextPack() {
 }
 
 // ensureFrontier allocates the dense-mode bitmaps on the first
-// sparse→dense switch and clears any bits a previous pack's early exit
-// left behind.
+// sparse→dense switch. A dense sweep runs to its fixpoint, which leaves
+// both bitmaps empty, so later switches reuse them as they are.
 func (pm *WidePackMC) ensureFrontier() (cur, next []uint64) {
 	if pm.frontier == nil {
 		words := (pm.g.NumNodes() + 63) / 64
 		pm.frontier = make([]uint64, words)
 		pm.nextFrontier = make([]uint64, words)
-	} else {
-		clear(pm.frontier)
-		clear(pm.nextFrontier)
 	}
 	return pm.frontier, pm.nextFrontier
 }
 
 // MemoryBytes implements MemoryReporter: the committed full-width
-// capacity plus whatever the 512-lane instance's half-width delegation
-// and the dense bitmaps have actually allocated.
+// capacity plus whatever the 512-lane instance's half-width delegation,
+// the dense bitmaps and the s-t kernel have actually allocated.
 func (pm *WidePackMC) MemoryBytes() int64 {
 	b := wideScratchBytes(pm.g.NumNodes(), pm.g.NumEdges(), pm.w) +
 		int64(cap(pm.queue)+cap(pm.touched))*4 + pm.scratch.MemoryBytes()
@@ -388,6 +350,9 @@ func (pm *WidePackMC) MemoryBytes() int64 {
 		b += int64(len(pm.nodes4))*64 + int64(len(pm.edges4))*64
 	}
 	b += int64(len(pm.frontier)+len(pm.nextFrontier)) * 8
+	if pm.st != nil {
+		b += pm.st.MemoryBytes()
+	}
 	return b
 }
 
@@ -399,9 +364,9 @@ func wideScratchBytes(n, m, w int) int64 {
 	return int64(n)*int64(16*w+8) + int64(m)*int64(16*w+12)
 }
 
-// Sampler implements IncrementalEstimator, with PackMC's session
-// semantics: Advance(a); Advance(b) is bit-identical to Estimate(s, t,
-// a+b) from the same (seed, round) state, at every width.
+// Sampler implements IncrementalEstimator with PackMC's session on the
+// 64-lane s-t kernel: Advance(a); Advance(b) is bit-identical to
+// Estimate(s, t, a+b) from the same (seed, round) state, at every width.
 func (pm *WidePackMC) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(pm.g, s, t, 1)
 	if s == t {
@@ -409,26 +374,8 @@ func (pm *WidePackMC) Sampler(s, t uncertain.NodeID) Sampler {
 	}
 	pm.round++
 	pm.scratch.Reset()
-	return &widePackSampler{pm: pm, base: mix(pm.seed, pm.round, 0), s: s, t: t}
+	return &packSampler{pm: pm.stKernel(), base: mix(pm.seed, pm.round, 0), s: s, t: t}
 }
-
-type widePackSampler struct {
-	pm      *WidePackMC
-	base    uint64
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *widePackSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	if dk == 0 {
-		return
-	}
-	x.hits += x.pm.sampleLanes(x.base, x.s, x.t, x.n, x.n+dk)
-	x.n += dk
-}
-
-func (x *widePackSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 // AllSampler implements SourceSampler: the anytime form of EstimateAll,
 // bit-identical to PackMC's at every width. The per-node counts live in
@@ -478,5 +425,4 @@ var (
 	_ SourceEstimator      = (*WidePackMC)(nil)
 	_ SourceSampler        = (*WidePackMC)(nil)
 	_ Seeder               = (*WidePackMC)(nil)
-	_ packKernel           = (*WidePackMC)(nil)
 )

@@ -324,3 +324,36 @@ func TestMemoryBytesWide(t *testing.T) {
 		t.Fatalf("parallel MemoryBytes %d too small", got)
 	}
 }
+
+// TestWidePackMCSTLeavesWideScratchUnallocated checks that s-t queries at
+// a wide width run on the 64-lane kernel alone: Estimate, Sampler and
+// Advance allocate none of the wide sweep scratch, answer as PackMC does,
+// and MemoryBytes counts the s-t kernel they built.
+func TestWidePackMCSTLeavesWideScratchUnallocated(t *testing.T) {
+	g := wideTestGraph(200, 1200, 0.2, 0.6, 5)
+	s, tgt := uncertain.NodeID(0), uncertain.NodeID(g.NumNodes()-1)
+	narrow := NewPackMC(g, 31)
+	wide := NewWidePackMC(g, 31, 512)
+	wide.SetDenseThreshold(1) // a sweep would switch to the bitmaps at once
+	before := wide.MemoryBytes()
+	for _, k := range []int{1, 200, 700} {
+		if got, want := wide.Estimate(s, tgt, k), narrow.Estimate(s, tgt, k); got != want {
+			t.Fatalf("Estimate k=%d: wide %v != narrow %v", k, got, want)
+		}
+	}
+	ws, ns := wide.Sampler(s, tgt), narrow.Sampler(s, tgt)
+	for _, dk := range []int{37, 300, 363} {
+		ws.Advance(dk)
+		ns.Advance(dk)
+		if got, want := ws.Snapshot(), ns.Snapshot(); got != want {
+			t.Fatalf("Advance(%d): wide %+v != narrow %+v", dk, got, want)
+		}
+	}
+	if wide.nodes4 != nil || wide.edges4 != nil || wide.nodes8 != nil || wide.edges8 != nil || wide.frontier != nil {
+		t.Fatalf("s-t queries allocated wide scratch: nodes4 %v edges4 %v nodes8 %v edges8 %v frontier %v",
+			wide.nodes4 != nil, wide.edges4 != nil, wide.nodes8 != nil, wide.edges8 != nil, wide.frontier != nil)
+	}
+	if grew, min := wide.MemoryBytes()-before, narrow.MemoryBytes(); grew < min {
+		t.Fatalf("MemoryBytes grew %d after s-t queries, want ≥ the s-t kernel's %d", grew, min)
+	}
+}

@@ -30,9 +30,12 @@
 //     — one BFS Sharing traversal answers every target of a source via
 //     EstimateAll, one ProbTree group splice (QueryGraphEach) expands the
 //     source-side bag chain once for every target of a source, and one
-//     PackMC pack sweep (EstimateAll) serves every target of a source from
+//     wide pack sweep (EstimateAll) serves every target of a source from
 //     the same counter-seeded world ensemble its single queries draw.
-//     Duplicate queries in one call are computed once.
+//     A fixed-budget PackMC group instead runs one bidirectional search
+//     per target on that ensemble, cheaper than a 64-lane sweep for the
+//     group sizes batches send. Duplicate queries in one call are
+//     computed once.
 //   - Result caching: a bounded LRU keyed by (s, t, estimator, k, ε) with
 //     hit/miss/eviction counters (cache.go).
 //   - Adaptive routing: queries that do not name an estimator are routed
@@ -312,9 +315,9 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	// explicit request. The pack widths give bit-identical values for one
 	// seed, so when PackMC is built it is their only candidate: routing to
 	// several widths would grow a pool, each replica with its own kernel
-	// scratch, per width for no gain. Only the 64-lane kernel meets in the
-	// middle on s-t queries; on DBLP_0.2 that makes it ~5x cheaper than
-	// the forward-only 256 and 512 lanes.
+	// scratch, per width for no gain. Every width answers s-t through the
+	// same 64-lane bidirectional search, and PackMC's replicas carry no
+	// wide sweep scratch and answer routed batch groups target by target.
 	_, routeOnePack := st.pools[packName]
 	var candidates []string
 	for _, name := range e.names {
@@ -836,8 +839,9 @@ type groupKey struct {
 // exposes multi-target amortization: one BFS Sharing traversal computes
 // every target's reliability at once (EstimateAll), one ProbTree group
 // splice expands the source-side bag chain once for all targets
-// (QueryGraphAll), and one PackMC pack sweep leaves every reached node's
-// per-world hit counts behind (EstimateAll again). All other estimators
+// (QueryGraphAll), and one pack sweep leaves every reached node's
+// per-world hit counts behind (EstimateAll again; fixed-budget PackMC
+// groups search per target instead, see runShared). All other estimators
 // answer per query, so their batch queries become individual work units
 // and spread over all workers instead of serializing behind a shared
 // source.
@@ -1154,7 +1158,10 @@ func runContained(j int, fn func(int), onPanic func(int, error)) {
 // once — EstimateAll(s, k)[t] is exactly Estimate(s, t, k), the s-t query
 // just reads one entry of the traversal the method computes anyway (PackMC
 // is reseeded target-less, and its counter-based streams draw the world
-// ensemble each single query would). For ProbTree one QueryGraphEach call
+// ensemble each single query would). A fixed-budget PackMC group instead
+// runs one bidirectional s-t search per missed target on that ensemble —
+// the same values, without a 64-lane sweep that costs ~20 such searches
+// on DBLP_0.2. For ProbTree one QueryGraphEach call
 // expands the s-side bag chain once and splices every target against it,
 // producing per-target query graphs identical to per-query splicing; each
 // target's inner estimate then runs under its own per-query reseed. On
@@ -1218,6 +1225,11 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 		e.fanOut(results, first, misses[0][1:])
 		return
 	}
+	// A fixed-k PackMC group answers target by target: its 64-lane sweep
+	// costs as much as ~20 bidirectional s-t searches on DBLP_0.2, more
+	// than a group usually asks. The wide names keep the sweep, which
+	// their wider lanes make 2-3x cheaper.
+	perTarget := name == packName && !anytime
 	var elapsed time.Duration
 	perr := e.withReplica(st.pools[name], func(inst core.Estimator) {
 		if faultinject.Enabled() {
@@ -1246,21 +1258,33 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 				res.Reliability, res.SamplesUsed = est.EstimateSpliced(sq, k), k
 			})
 		case core.SourceSampler:
-			// PackMC reseeds target-less exactly as runOne does; the BFS
+			// Pack widths reseed target-less exactly as runOne does; the BFS
 			// querier has no per-query stream (its worlds are the index's).
-			if sd, ok := est.(core.Seeder); ok {
-				sd.Reseed(e.querySeedFor(name, s, s, k))
+			seed := e.querySeedFor(name, s, s, k)
+			sd, seeded := est.(core.Seeder)
+			if seeded {
+				sd.Reseed(seed)
 			}
-			if anytime {
+			switch {
+			case anytime:
 				for i, ar := range core.AdaptiveEstimateAll(est.AllSampler(s), missTargets, opts) {
 					e.fillAnytime(ctx, &results[misses[i][0]], k, ar)
 				}
-				break
-			}
-			all := est.EstimateAll(s, k)
-			for i, t := range missTargets {
-				res := &results[misses[i][0]]
-				res.Reliability, res.SamplesUsed = all[t], k
+			case perTarget:
+				// Each target runs its own bidirectional search on the group's
+				// seed, reseeded so every search draws the worlds the sweep
+				// would have: the values are EstimateAll's.
+				for i, t := range missTargets {
+					sd.Reseed(seed)
+					res := &results[misses[i][0]]
+					res.Reliability, res.SamplesUsed = est.Estimate(s, t, k), k
+				}
+			default:
+				all := est.EstimateAll(s, k)
+				for i, t := range missTargets {
+					res := &results[misses[i][0]]
+					res.Reliability, res.SamplesUsed = all[t], k
+				}
 			}
 		default:
 			panic(fmt.Sprintf("engine: estimator %q grouped without an amortized path", name))
@@ -1280,12 +1304,18 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 	}
 	// Each query's Latency reports its amortized share of the shared
 	// group, but the router sees the full group cost once: a single
-	// adaptive query routed here would pay all of it.
+	// adaptive query routed here would pay all of it. Per-target groups
+	// are per-query work, so the router sees each target's share.
 	share := elapsed / time.Duration(len(missTargets))
-	e.router.observe(name, elapsed.Seconds())
+	if !perTarget {
+		e.router.observe(name, elapsed.Seconds())
+	}
 	for i, grp := range misses {
 		res := &results[grp[0]]
 		res.Latency = share
+		if perTarget {
+			e.router.observe(name, share.Seconds())
+		}
 		if res.Err == nil && cacheable {
 			e.cache.put(keyFor(missTargets[i]), answerOf(res, st.epoch))
 		}
