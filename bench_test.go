@@ -301,9 +301,10 @@ func BenchmarkEngineSerialized(b *testing.B) {
 
 // BenchmarkPackMCEngineBatch pushes the 64-query batch of
 // engineBenchWorkload through the engine once per estimator: PackMC rides
-// the source-grouped path (dedupe and cache lookups per source, then one
-// bidirectional search per missed target), MC computes its 64 queries as
-// individual work units.
+// the source-grouped path (one amortized pack sweep per source, 8 sweeps
+// for the batch: on this graph a sweep costs less than its 8 targets'
+// s-t searches, so the measured choice keeps it; the warm-up batches
+// measure both), MC computes its 64 queries as individual work units.
 // Together with BenchmarkEngineBatch (BFS Sharing on the same workload)
 // this is the engine-level view of the word-packing win.
 func BenchmarkPackMCEngineBatch(b *testing.B) {

@@ -73,7 +73,9 @@ type WidePackMC struct {
 	// instance's stream base, so its own seed and round never matter.
 	st *PackMC
 
-	// Pack-local state, invalidated wholesale by bumping epoch.
+	// Pack-local state, invalidated wholesale by bumping epoch. nstamp,
+	// edgeEpoch and qfix are built on the first sweep (ensureSweepScratch),
+	// so an instance that only answers s-t queries carries none of them.
 	// nstamp packs a node's two stamps into one word — low half "mask is
 	// valid this pack", high half "node is in the sparse worklist" — so a
 	// neighbor probe resolves both with a single cache line.
@@ -172,25 +174,32 @@ func NewWidePackMC(g *uncertain.Graph, seed uint64, lanes int) *WidePackMC {
 	if lanes != 256 && lanes != 512 {
 		panic(fmt.Sprintf("core: WidePackMC lanes must be 256 or 512, got %d", lanes))
 	}
-	w := lanes / 64
-	n, m := g.NumNodes(), g.NumEdges()
-	pm := &WidePackMC{
+	return &WidePackMC{
 		g:              g,
 		seed:           seed,
-		w:              w,
-		nstamp:         make([]uint64, n),
-		edgeEpoch:      make([]uint32, m),
-		qfix:           make([]uint64, m),
+		w:              lanes / 64,
 		queue:          make([]uncertain.NodeID, 0, packQueueCap),
-		denseThreshold: n / denseSwitchDen,
+		denseThreshold: g.NumNodes() / denseSwitchDen,
 	}
+}
+
+// ensureSweepScratch builds the node stamps and the per-slot edge state
+// on the instance's first sweep.
+func (pm *WidePackMC) ensureSweepScratch() {
+	if pm.nstamp != nil {
+		return
+	}
+	g := pm.g
+	n, m := g.NumNodes(), g.NumEdges()
+	pm.nstamp = make([]uint64, n)
+	pm.edgeEpoch = make([]uint32, m)
+	pm.qfix = make([]uint64, m)
 	for v := 0; v < n; v++ {
 		lo, _ := g.OutSpan(uncertain.NodeID(v))
 		for i, p := range g.OutProbs(uncertain.NodeID(v)) {
 			pm.qfix[lo+i] = rng.FixedProb(p)
 		}
 	}
-	return pm
 }
 
 // Name implements Estimator: "PackMC256" or "PackMC512".
@@ -267,6 +276,7 @@ func (pm *WidePackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
 // accumulateAll sweeps the lane range [lo, hi) and adds every touched
 // node's per-world hit count into counts.
 func (pm *WidePackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int, counts []int64) {
+	pm.ensureSweepScratch()
 	w := pm.w
 	var active [maxWideWords]uint64
 	for j := lo >> 6; j*64 < hi; {
@@ -340,9 +350,12 @@ func (pm *WidePackMC) ensureFrontier() (cur, next []uint64) {
 	return pm.frontier, pm.nextFrontier
 }
 
-// MemoryBytes implements MemoryReporter: the committed full-width
-// capacity plus whatever the 512-lane instance's half-width delegation,
-// the dense bitmaps and the s-t kernel have actually allocated.
+// MemoryBytes implements MemoryReporter: the full-width sweep capacity
+// plus whatever the 512-lane instance's half-width delegation, the dense
+// bitmaps and the s-t kernel have actually allocated. The sweep capacity
+// is counted from construction, although it is built on the first sweep,
+// so an instance that has only answered s-t queries reports more than it
+// holds.
 func (pm *WidePackMC) MemoryBytes() int64 {
 	b := wideScratchBytes(pm.g.NumNodes(), pm.g.NumEdges(), pm.w) +
 		int64(cap(pm.queue)+cap(pm.touched))*4 + pm.scratch.MemoryBytes()

@@ -353,6 +353,10 @@ func TestWidePackMCSTLeavesWideScratchUnallocated(t *testing.T) {
 		t.Fatalf("s-t queries allocated wide scratch: nodes4 %v edges4 %v nodes8 %v edges8 %v frontier %v",
 			wide.nodes4 != nil, wide.edges4 != nil, wide.nodes8 != nil, wide.edges8 != nil, wide.frontier != nil)
 	}
+	if wide.nstamp != nil || wide.edgeEpoch != nil || wide.qfix != nil {
+		t.Fatalf("s-t queries built sweep state: nstamp %v edgeEpoch %v qfix %v",
+			wide.nstamp != nil, wide.edgeEpoch != nil, wide.qfix != nil)
+	}
 	if grew, min := wide.MemoryBytes()-before, narrow.MemoryBytes(); grew < min {
 		t.Fatalf("MemoryBytes grew %d after s-t queries, want ≥ the s-t kernel's %d", grew, min)
 	}

@@ -30,12 +30,11 @@
 //     — one BFS Sharing traversal answers every target of a source via
 //     EstimateAll, one ProbTree group splice (QueryGraphEach) expands the
 //     source-side bag chain once for every target of a source, and one
-//     wide pack sweep (EstimateAll) serves every target of a source from
-//     the same counter-seeded world ensemble its single queries draw.
-//     A fixed-budget PackMC group instead runs one bidirectional search
-//     per target on that ensemble, cheaper than a 64-lane sweep for the
-//     group sizes batches send. Duplicate queries in one call are
-//     computed once.
+//     pack sweep (EstimateAll) serves every target of a source from the
+//     same counter-seeded world ensemble its single queries draw. A
+//     fixed-budget pack group whose targets are measured cheaper to search
+//     one by one runs as per-query units instead (router.searchEach).
+//     Duplicate queries in one call are computed once.
 //   - Result caching: a bounded LRU keyed by (s, t, estimator, k, ε) with
 //     hit/miss/eviction counters (cache.go).
 //   - Adaptive routing: queries that do not name an estimator are routed
@@ -317,7 +316,7 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	// several widths would grow a pool, each replica with its own kernel
 	// scratch, per width for no gain. Every width answers s-t through the
 	// same 64-lane bidirectional search, and PackMC's replicas carry no
-	// wide sweep scratch and answer routed batch groups target by target.
+	// wide sweep scratch.
 	_, routeOnePack := st.pools[packName]
 	var candidates []string
 	for _, name := range e.names {
@@ -698,6 +697,9 @@ func (e *Engine) compute(ctx context.Context, st *epochState, name string, q Que
 		e.cache.put(key, answerOf(res, st.epoch))
 	}
 	e.router.observe(name, res.Latency.Seconds())
+	if packLike(name) && q.Eps == 0 && dl.IsZero() {
+		e.router.observeSearch(name, res.Latency.Seconds()/float64(q.K))
+	}
 	e.record(name, res.Latency.Seconds(), false)
 }
 
@@ -840,8 +842,8 @@ type groupKey struct {
 // every target's reliability at once (EstimateAll), one ProbTree group
 // splice expands the source-side bag chain once for all targets
 // (QueryGraphAll), and one pack sweep leaves every reached node's
-// per-world hit counts behind (EstimateAll again; fixed-budget PackMC
-// groups search per target instead, see runShared). All other estimators
+// per-world hit counts behind (EstimateAll again; a fixed-budget pack
+// group may search per target instead, see run). All other estimators
 // answer per query, so their batch queries become individual work units
 // and spread over all workers instead of serializing behind a shared
 // source.
@@ -1042,6 +1044,29 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 			single.add(gk, i)
 		}
 	}
+	// A fixed-k pack group pays one source sweep for all its targets, or
+	// one s-t search per target. Which is cheaper depends on the graph (a
+	// sweep costs ~20 searches on DBLP_0.2 at k=1000, under 2 on lastFM)
+	// and on the group's size, so the router's measured costs decide. A
+	// group that searches leaves as per-query units, which dedupe, cache
+	// and spread over the workers like any other; its values do not move,
+	// since pack queries draw a target-less stream (querySeedFor). shared
+	// is compacted in place and takes no further adds.
+	kept := 0
+	for j, gk := range shared.order {
+		idxs := shared.groups[j]
+		if packLike(gk.key.est) && gk.key.eps == 0 && gk.deadline == 0 && !ctxDeadline &&
+			e.router.searchEach(gk.key.est, distinctTargets(exec, idxs)) {
+			for _, i := range idxs {
+				gk.key.t = exec[i].T
+				single.add(gk, i)
+			}
+			continue
+		}
+		shared.order[kept], shared.groups[kept] = gk, idxs
+		kept++
+	}
+	shared.order, shared.groups = shared.order[:kept], shared.groups[:kept]
 	// Units of single-instance pools (ParallelMC) run last: placed
 	// earlier they would pile all workers up blocked on the one replica
 	// while runnable units wait in the queue.
@@ -1112,6 +1137,15 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 	return results
 }
 
+// distinctTargets counts the distinct targets among queries[idxs].
+func distinctTargets(queries []Query, idxs []int) int {
+	seen := make(map[uncertain.NodeID]struct{}, len(idxs))
+	for _, i := range idxs {
+		seen[queries[i].T] = struct{}{}
+	}
+	return len(seen)
+}
+
 // forEachParallel runs fn(0..n-1) across up to Workers goroutines,
 // returning when all calls complete. A panic in fn is contained to its
 // work item: capturePanic converts it to a typed error and onPanic(j,
@@ -1158,10 +1192,7 @@ func runContained(j int, fn func(int), onPanic func(int, error)) {
 // once — EstimateAll(s, k)[t] is exactly Estimate(s, t, k), the s-t query
 // just reads one entry of the traversal the method computes anyway (PackMC
 // is reseeded target-less, and its counter-based streams draw the world
-// ensemble each single query would). A fixed-budget PackMC group instead
-// runs one bidirectional s-t search per missed target on that ensemble —
-// the same values, without a 64-lane sweep that costs ~20 such searches
-// on DBLP_0.2. For ProbTree one QueryGraphEach call
+// ensemble each single query would). For ProbTree one QueryGraphEach call
 // expands the s-side bag chain once and splices every target against it,
 // producing per-target query graphs identical to per-query splicing; each
 // target's inner estimate then runs under its own per-query reseed. On
@@ -1225,11 +1256,6 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 		e.fanOut(results, first, misses[0][1:])
 		return
 	}
-	// A fixed-k PackMC group answers target by target: its 64-lane sweep
-	// costs as much as ~20 bidirectional s-t searches on DBLP_0.2, more
-	// than a group usually asks. The wide names keep the sweep, which
-	// their wider lanes make 2-3x cheaper.
-	perTarget := name == packName && !anytime
 	var elapsed time.Duration
 	perr := e.withReplica(st.pools[name], func(inst core.Estimator) {
 		if faultinject.Enabled() {
@@ -1260,31 +1286,19 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 		case core.SourceSampler:
 			// Pack widths reseed target-less exactly as runOne does; the BFS
 			// querier has no per-query stream (its worlds are the index's).
-			seed := e.querySeedFor(name, s, s, k)
-			sd, seeded := est.(core.Seeder)
-			if seeded {
-				sd.Reseed(seed)
+			if sd, ok := est.(core.Seeder); ok {
+				sd.Reseed(e.querySeedFor(name, s, s, k))
 			}
-			switch {
-			case anytime:
+			if anytime {
 				for i, ar := range core.AdaptiveEstimateAll(est.AllSampler(s), missTargets, opts) {
 					e.fillAnytime(ctx, &results[misses[i][0]], k, ar)
 				}
-			case perTarget:
-				// Each target runs its own bidirectional search on the group's
-				// seed, reseeded so every search draws the worlds the sweep
-				// would have: the values are EstimateAll's.
-				for i, t := range missTargets {
-					sd.Reseed(seed)
-					res := &results[misses[i][0]]
-					res.Reliability, res.SamplesUsed = est.Estimate(s, t, k), k
-				}
-			default:
-				all := est.EstimateAll(s, k)
-				for i, t := range missTargets {
-					res := &results[misses[i][0]]
-					res.Reliability, res.SamplesUsed = all[t], k
-				}
+				break
+			}
+			all := est.EstimateAll(s, k)
+			for i, t := range missTargets {
+				res := &results[misses[i][0]]
+				res.Reliability, res.SamplesUsed = all[t], k
 			}
 		default:
 			panic(fmt.Sprintf("engine: estimator %q grouped without an amortized path", name))
@@ -1304,18 +1318,15 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 	}
 	// Each query's Latency reports its amortized share of the shared
 	// group, but the router sees the full group cost once: a single
-	// adaptive query routed here would pay all of it. Per-target groups
-	// are per-query work, so the router sees each target's share.
+	// adaptive query routed here would pay all of it.
 	share := elapsed / time.Duration(len(missTargets))
-	if !perTarget {
-		e.router.observe(name, elapsed.Seconds())
+	e.router.observe(name, elapsed.Seconds())
+	if packLike(name) && !anytime {
+		e.router.observeSweep(name, elapsed.Seconds()/float64(k))
 	}
 	for i, grp := range misses {
 		res := &results[grp[0]]
 		res.Latency = share
-		if perTarget {
-			e.router.observe(name, share.Seconds())
-		}
 		if res.Err == nil && cacheable {
 			e.cache.put(keyFor(missTargets[i]), answerOf(res, st.epoch))
 		}

@@ -25,9 +25,9 @@ import (
 // (after mutations, or on graphs where lazy propagation degenerates)
 // moves traffic within a few horizons.
 //
-// The pack widths give bit-identical values for one seed, so newEngine
-// makes only PackMC, the width whose s-t search meets in the middle, a
-// candidate when it is built. Routed answers draw
+// The pack widths give bit-identical values for one seed and share one
+// s-t search, so newEngine makes only PackMC, the width with no wide
+// sweep scratch, a candidate when it is built. Routed answers draw
 // exactly their k; RSS overdraws (5.7x at k=200 on DBLP_0.2), which is
 // why its error at equal k is lower than pack's (RMSE .009 against .017).
 // At equal drawn samples the two are equivalent, so routing by cost gives
@@ -55,6 +55,12 @@ type router struct {
 	pinched    uint64                 // bounds short-circuits
 	boundsRuns uint64                 // bounds computations (memo misses)
 	boundsSecs float64                // wall-clock seconds those took in total
+
+	// sweeps and searches hold each pack width's measured cost per sample
+	// of a fixed-k source sweep (a batch group's EstimateAll) and of one
+	// fixed-k s-t search; searchEach weighs them for batch groups.
+	sweeps   map[string]latencyMean
+	searches map[string]latencyMean
 }
 
 // latencyMean is one estimator's latency estimate in seconds per query
@@ -80,6 +86,8 @@ func newRouter(candidates []string, cutoff float64, memoSize int) *router {
 		memo:       newLRUCache[[2]float64](memoSize),
 		latency:    make(map[string]latencyMean, len(candidates)),
 		routed:     make(map[string]uint64, len(candidates)),
+		sweeps:     make(map[string]latencyMean),
+		searches:   make(map[string]latencyMean),
 	}
 }
 
@@ -222,12 +230,52 @@ func (r *router) noteRouted(name string) {
 func (r *router) observe(name string, seconds float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	lat := r.latency[name]
+	r.latency[name] = r.latency[name].add(seconds)
+}
+
+// add returns the mean with one more sample folded in: a running mean
+// until latencyHorizon samples, an EWMA of weight 1/latencyHorizon after.
+func (lat latencyMean) add(seconds float64) latencyMean {
 	if lat.n < latencyHorizon {
 		lat.n++
 	}
 	lat.secs += (seconds - lat.secs) / float64(lat.n)
-	r.latency[name] = lat
+	return lat
+}
+
+// observeSweep feeds one fixed-k source sweep's cost per sample into pack
+// width name's sweep estimate.
+func (r *router) observeSweep(name string, secsPerSample float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sweeps[name] = r.sweeps[name].add(secsPerSample)
+}
+
+// observeSearch feeds one fixed-k s-t search's cost per sample into pack
+// width name's search estimate.
+func (r *router) observeSearch(name string, secsPerSample float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.searches[name] = r.searches[name].add(secsPerSample)
+}
+
+// searchEach reports whether a fixed-k batch group of n distinct targets
+// on pack width name is cheaper answered as n s-t searches than as one
+// source sweep, by the measured cost of each. Costs are per sample, so
+// measurements at one budget carry over to another. Until a sweep is
+// measured groups sweep; once one is, a width with no search measured
+// yet searches, so that both get measured. After that the sweep figure
+// is renewed by the groups that still sweep — the larger ones — which
+// keeps it fresh where the choice turns.
+func (r *router) searchEach(name string, n int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sweep, swept := r.sweeps[name]
+	search, searched := r.searches[name]
+	if !swept || !searched {
+		return swept
+	}
+	return float64(n)*search.secs < sweep.secs
 }
 
 // snapshot returns the per-estimator routing counts, latency estimates in

@@ -170,3 +170,65 @@ func TestGroupedBatchMatchesSingleLargeGroup(t *testing.T) {
 		})
 	}
 }
+
+// TestPackGroupSweepsOrSearchesByCost drives one fixed-k pack group
+// through both sides of the router's sweep-or-search choice and checks
+// that each side runs (by the cost samples it leaves) and that both
+// answer exactly as single queries do. A fresh engine sweeps first, then
+// searches once so both costs are measured; after that the measured costs
+// decide.
+func TestPackGroupSweepsOrSearchesByCost(t *testing.T) {
+	for _, est := range []string{packName, pack512Name} {
+		t.Run(est, func(t *testing.T) {
+			cfg := Config{Workers: 2, MaxK: 300, Seed: 42, CacheSize: 0, Estimators: []string{est}}
+			batch := testEngine(t, cfg)
+			single := testEngine(t, cfg)
+			var qs []Query
+			for d := 1; d < 7; d++ {
+				qs = append(qs, Query{S: 0, T: uncertain.NodeID(d), K: 200, Estimator: est})
+			}
+			qs = append(qs, qs[2]) // a duplicate target counts once
+			check := func(step string) {
+				t.Helper()
+				for i, res := range batch.EstimateBatch(context.Background(), qs) {
+					if res.Err != nil {
+						t.Fatal(res.Err)
+					}
+					if want := single.Estimate(context.Background(), qs[i]); res.Reliability != want.Reliability {
+						t.Errorf("%s: query %d: batch %v vs single %v", step, i, res.Reliability, want.Reliability)
+					}
+				}
+			}
+			samples := func() (sweeps, searches int) {
+				r := batch.router
+				r.mu.Lock()
+				defer r.mu.Unlock()
+				return r.sweeps[est].n, r.searches[est].n
+			}
+			expect := func(step string, sweeps, searches int) {
+				t.Helper()
+				if sw, se := samples(); sw != sweeps || se != searches {
+					t.Fatalf("%s: %d sweeps and %d searches measured, want %d and %d", step, sw, se, sweeps, searches)
+				}
+			}
+			check("unmeasured")
+			expect("unmeasured", 1, 0)
+			check("sweep measured")
+			expect("sweep measured", 1, 6)
+
+			setCosts := func(sweep, search float64) {
+				r := batch.router
+				r.mu.Lock()
+				r.sweeps[est] = latencyMean{secs: sweep, n: 10}
+				r.searches[est] = latencyMean{secs: search, n: 10}
+				r.mu.Unlock()
+			}
+			setCosts(1, 0.2) // six targets cost 1.2 sweeps
+			check("sweep cheaper")
+			expect("sweep cheaper", 11, 10)
+			setCosts(1, 0.1) // six targets cost 0.6 sweeps
+			check("search cheaper")
+			expect("search cheaper", 10, 16)
+		})
+	}
+}
