@@ -83,7 +83,7 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxBatchBytes, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,

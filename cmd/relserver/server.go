@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,10 +126,71 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+// wireBuf is a pooled body buffer: requests are read into it and
+// responses encoded into it, so a request leaves no body-sized garbage.
+// enc encodes into the buffer and keeps no state between values; q and
+// out hold /v1/query's request and answer, so neither escapes per request.
+type wireBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+	q   queryJSON
+	out resultJSON
+}
+
+// maxPooledWire is the largest buffer returned to the pool; a large
+// batch's buffer is left to the collector instead of pinned for good.
+const maxPooledWire = 64 << 10
+
+var wireBufs = sync.Pool{New: func() any {
+	b := new(wireBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	return b
+}}
+
+func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
+
+func putWireBuf(b *wireBuf) {
+	b.q, b.out = queryJSON{}, resultJSON{} // drop references into the cache
+	if b.Cap() <= maxPooledWire {
+		wireBufs.Put(b)
+	}
+}
+
+// jsonContentType is every JSON response's Content-Type value, shared so
+// that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// send writes v as the JSON body with the given status: json.Encoder's
+// bytes, in one Write, as the Encoder itself would write them.
+func (b *wireBuf) send(w http.ResponseWriter, status int, v interface{}) {
+	b.Reset()
+	b.enc.Encode(v)
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b.Bytes())
+}
+
+// decode reads r's body, at most limit bytes, into the buffer and decodes
+// it into v. A body over the limit fails with *http.MaxBytesError.
+func (b *wireBuf) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	b.Reset()
+	if _, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return err
+	}
+	return json.Unmarshal(b.Bytes(), v)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	b := getWireBuf()
+	defer putWireBuf(b)
+	b.send(w, status, v)
+}
+
+// decodeBody decodes r's body, at most limit bytes, into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	b := getWireBuf()
+	defer putWireBuf(b)
+	return b.decode(w, r, limit, v)
 }
 
 type apiError struct {
@@ -484,8 +546,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "POST required"})
 		return
 	}
-	var q queryJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&q); err != nil {
+	b := getWireBuf()
+	defer putWireBuf(b)
+	if err := b.decode(w, r, maxBatchBytes, &b.q); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -495,7 +558,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "invalid JSON body: %v", err)
 		return
 	}
-	req, err := s.buildRequest(q, nil, nil)
+	req, err := s.buildRequest(b.q, nil, nil)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -505,7 +568,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, res.Err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toJSON(res))
+	b.out = toJSON(res)
+	b.send(w, http.StatusOK, &b.out)
 }
 
 func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
@@ -573,7 +637,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxBatchBytes, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,

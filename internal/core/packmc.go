@@ -292,20 +292,65 @@ func (pm *PackMC) nextPack() {
 // the pack's one edge-mask cache, so the result equals the forward
 // fixpoint mask at t lane by lane.
 func (pm *PackMC) runPack(base, pack uint64, s, t uncertain.NodeID, active uint64) uint64 {
+	pm.startPack(s, t, active)
+	return pm.finishPack(base, pack, active, nil)
+}
+
+// startPack begins an s-t pack on the instance's scratch: each side holds
+// its root with the active lanes. stepPack then runs it level by level;
+// the pack stays resumable until the next startPack or sweepPack.
+func (pm *PackMC) startPack(s, t uncertain.NodeID, active uint64) {
 	pm.nextPack()
-	f := pm.fwd.start(s, active, pm.epoch)
-	b := pm.bwd.start(t, active, pm.epoch)
+	pm.fwd.start(s, active, pm.epoch)
+	pm.bwd.start(t, active, pm.epoch)
+}
+
+// nextSide returns the side the pack in flight expands next, the one
+// with fewer frontier nodes (forward on ties), the other side, and
+// whether the next level is forward.
+func (pm *PackMC) nextSide() (x, y *packSide, forward bool) {
+	if pm.bwd.frontier() < pm.fwd.frontier() {
+		return &pm.bwd, &pm.fwd, false
+	}
+	return &pm.fwd, &pm.bwd, true
+}
+
+// stepPack runs one level of the pack in flight over the alive lanes and
+// returns the lanes met at this level and the lanes still alive after it.
+func (pm *PackMC) stepPack(base, pack uint64, alive uint64) (met, live uint64) {
+	x, y, forward := pm.nextSide()
+	return pm.expand(x, y, forward, base, pack, alive)
+}
+
+// finishPack runs the pack in flight until no lane is alive and returns
+// the lanes met on the way. A non-nil work accumulates levelWork over the
+// levels run.
+func (pm *PackMC) finishPack(base, pack uint64, alive uint64, work *int) uint64 {
 	var hit uint64
-	for alive := active; alive != 0; {
-		var met uint64
-		if b.frontier() < f.frontier() {
-			met, alive = pm.expand(b, f, false, base, pack, alive)
-		} else {
-			met, alive = pm.expand(f, b, true, base, pack, alive)
+	for alive != 0 {
+		if work != nil {
+			*work += pm.levelWork()
 		}
+		met, live := pm.stepPack(base, pack, alive)
 		hit |= met
+		alive = live
 	}
 	return hit
+}
+
+// levelWork bounds the adjacency entries the pack's next level scans: the
+// degree sum of the frontier that stepPack expands next.
+func (pm *PackMC) levelWork() int {
+	x, _, forward := pm.nextSide()
+	w := 0
+	for _, v := range x.queue[x.head:] {
+		if forward {
+			w += pm.g.OutDegree(v)
+		} else {
+			w += pm.g.InDegree(v)
+		}
+	}
+	return w
 }
 
 // sweepPack propagates one 64-world pack forward from s to its fixpoint

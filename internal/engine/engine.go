@@ -685,7 +685,7 @@ func (e *Engine) runSingle(ctx context.Context, st *epochState, name string, d d
 // counters. A faulted replica (or factory) costs exactly this query: the
 // replica is discarded, the error is typed, nothing is cached.
 func (e *Engine) compute(ctx context.Context, st *epochState, name string, q Query, dl time.Time, opts core.AdaptiveOptions, key cacheKey, res *Result) {
-	if err := e.withReplica(st.pools[name], func(inst core.Estimator) {
+	if err := e.withReplica(st.pool(name), func(inst core.Estimator) {
 		start := time.Now()
 		e.runOne(ctx, inst, name, q, dl, opts, res)
 		res.Latency = time.Since(start)
@@ -696,7 +696,9 @@ func (e *Engine) compute(ctx context.Context, st *epochState, name string, q Que
 	if res.Err == nil && dl.IsZero() {
 		e.cache.put(key, answerOf(res, st.epoch))
 	}
-	e.router.observe(name, res.Latency.Seconds())
+	// The plan feeds the router's PackMC row, and no search cost: it never
+	// weighs against a sweep.
+	e.router.observe(servedBy(name), res.Latency.Seconds())
 	if packLike(name) && q.Eps == 0 && dl.IsZero() {
 		e.router.observeSearch(name, res.Latency.Seconds()/float64(q.K))
 	}
@@ -716,6 +718,9 @@ func (e *Engine) runOne(ctx context.Context, inst core.Estimator, name string, q
 		// scheduling. The panic is contained by withReplica above.
 		faultinject.Sleep(faultinject.SlowReplica, seed)
 		faultinject.MaybePanic(faultinject.EstimatorPanic, seed)
+	}
+	if name == planName {
+		inst = core.NewTwoPhasePackMC(inst.(*core.PackMC))
 	}
 	if s, ok := inst.(core.Seeder); ok {
 		s.Reseed(seed)
@@ -854,6 +859,24 @@ const (
 	pack256Name = "PackMC256"
 	pack512Name = "PackMC512"
 )
+
+// planName is what answers a routed fixed-k query the router sends to
+// PackMC: core's two-phase pack (PackMC.EstimateTwoPhase) on a PackMC
+// replica. It is no configured estimator. Its queries run one by one,
+// never in a sweep group, so a batch answers them as single calls do;
+// its stream seed and cache entries are its own, apart from named
+// PackMC's. Eps- and deadline-targeted routed queries keep the plain pack.
+const planName = core.TwoPhaseName
+
+// servedBy returns the configured estimator that serves name: PackMC for
+// the plan, which runs on PackMC's replicas and costs what routing to
+// PackMC costs; name itself otherwise.
+func servedBy(name string) string {
+	if name == planName {
+		return packName
+	}
+	return name
+}
 
 // packLike reports whether name is a world-packed kernel at any lane
 // width. All three share PackMC's counter-based stream properties: the
@@ -1037,6 +1060,10 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 			// duplicate.
 			gk.key.prior = decisions[i].prior
 			single.add(gk, i)
+		case decisions[i].width > 0 && name == packName:
+			// A routed fixed-k pack query runs the plan, alone.
+			gk.key.est = planName
+			single.add(gk, i)
 		case groupable(name):
 			gk.key.t = 0
 			shared.add(gk, i)
@@ -1077,7 +1104,7 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 				est: gk.key.est, s: gk.key.s, k: gk.key.k,
 				eps: gk.key.eps, deadline: gk.deadline, idxs: g.groups[j], shape: shape,
 			}
-			if p := st.pools[u.est]; p != nil && p.capacity == 1 {
+			if p := st.pool(u.est); p != nil && p.capacity == 1 {
 				constrained = append(constrained, u)
 			} else {
 				free = append(free, u)
@@ -1340,22 +1367,27 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 // the concrete estimator rather than one Estimate call. The instance is
 // reseeded before fn runs, so a borrowed sampling estimator's stream
 // depends only on the engine seed, never on the queries the replica
-// happened to serve earlier.
+// happened to serve earlier. The plan name routed answers report
+// (planName) borrows a PackMC replica that runs the plan.
 //
 // fn must not call back into the engine for the same estimator: it holds
 // one of a bounded pool of replicas, and on a single-replica pool
 // (Workers = 1, or ParallelMC) a re-entrant borrow blocks forever.
 func (e *Engine) Do(name string, fn func(core.Estimator) error) error {
-	p, ok := e.state.Load().pools[name]
-	if !ok {
+	p := e.state.Load().pool(name)
+	if p == nil {
 		return fmt.Errorf("engine: unknown estimator %q", name)
 	}
 	inst := p.get()
 	defer p.put(inst)
-	if s, ok := inst.(core.Seeder); ok {
+	est := inst
+	if name == planName {
+		est = core.NewTwoPhasePackMC(inst.(*core.PackMC))
+	}
+	if s, ok := est.(core.Seeder); ok {
 		s.Reseed(mix64(replicaSeed(e.cfg.Seed, name) + 0xD0e5eed))
 	}
-	return fn(inst)
+	return fn(est)
 }
 
 // noteDeduped counts one intra-batch duplicate answered by reuse, so the

@@ -413,7 +413,9 @@ func TestRouterDegradesToCheapest(t *testing.T) {
 // oracle on small random graphs, after every candidate is measured, so
 // that the answers come from whichever estimator measures cheapest:
 // sampled answers lie within 5 standard errors (plus 1e-3) of R, and
-// bounds-answered ones within half the pinch cutoff.
+// bounds-answered ones within half the pinch cutoff. An engine with only
+// PackMC built answers the same queries too, so that some answers always
+// come from the routed two-phase plan.
 func TestRoutedAnswersMatchExact(t *testing.T) {
 	const k = 1000
 	used := map[string]int{}
@@ -429,6 +431,10 @@ func TestRoutedAnswersMatchExact(t *testing.T) {
 		}
 		g := b.Build()
 		e, err := New(g, Config{Workers: 2, MaxK: k, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		packOnly, err := New(g, Config{Workers: 2, MaxK: k, Seed: seed, Estimators: []string{packName}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,23 +455,25 @@ func TestRoutedAnswersMatchExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := e.Estimate(context.Background(), Query{S: s, T: d, K: k})
-				if res.Err != nil {
-					t.Fatalf("seed %d (%d,%d): %v", seed, s, d, res.Err)
-				}
-				used[res.Used]++
-				tol := 5*math.Sqrt(want*(1-want)/k) + 1e-3
-				if res.Used == BoundsName {
-					tol = defaultBoundsCutoff/2 + 1e-12
-				}
-				if got := res.Reliability; got < 0 || got > 1 || math.Abs(got-want) > tol {
-					t.Errorf("seed %d (%d,%d): %s answered %v, exact %v, tolerance %v", seed, s, d, res.Used, got, want, tol)
+				for _, eng := range []*Engine{e, packOnly} {
+					res := eng.Estimate(context.Background(), Query{S: s, T: d, K: k})
+					if res.Err != nil {
+						t.Fatalf("seed %d (%d,%d): %v", seed, s, d, res.Err)
+					}
+					used[res.Used]++
+					tol := 5*math.Sqrt(want*(1-want)/k) + 1e-3
+					if res.Used == BoundsName {
+						tol = defaultBoundsCutoff/2 + 1e-12
+					}
+					if got := res.Reliability; got < 0 || got > 1 || math.Abs(got-want) > tol {
+						t.Errorf("seed %d (%d,%d): %s answered %v, exact %v, tolerance %v", seed, s, d, res.Used, got, want, tol)
+					}
 				}
 			}
 		}
 	}
-	if len(used) < 2 {
-		t.Errorf("routed answers came only from %v; want sampled and bounds answers", used)
+	if len(used) < 2 || used[planName] == 0 {
+		t.Errorf("routed answers came only from %v; want sampled, plan and bounds answers", used)
 	}
 	t.Logf("routed answers by estimator: %v", used)
 }
@@ -700,5 +708,82 @@ func TestPoolBoundsReplicaCount(t *testing.T) {
 	e.EstimateBatch(context.Background(), qs)
 	if n := e.Stats().Estimators["MC"].PoolReplicas; n > 3 {
 		t.Errorf("pool built %d replicas, cap 3", n)
+	}
+}
+
+// TestRoutedPackPlan: a routed fixed-k query the router sends to PackMC
+// runs the two-phase plan under its own name, stream and cache entries;
+// batch answers equal single ones; the router's PackMC row measures it;
+// Do borrows it by that name; and an eps-targeted routed query keeps the
+// plain pack.
+func TestRoutedPackPlan(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{Workers: 2, MaxK: 500, Seed: 42, CacheSize: 64, Estimators: []string{packName}}
+	batch, single := testEngine(t, cfg), testEngine(t, cfg)
+	var qs []Query
+	for d := uncertain.NodeID(3); d < 15; d++ {
+		qs = append(qs, Query{S: 0, T: d, K: 300}, Query{S: 1, T: d, K: 300})
+	}
+	qs = append(qs, qs[0], qs[5])
+	planned := 0
+	for i, res := range batch.EstimateBatch(ctx, qs) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		want := single.Estimate(ctx, qs[i])
+		if res.Used != want.Used || res.Reliability != want.Reliability || res.SamplesUsed != want.SamplesUsed {
+			t.Errorf("query %d: batch %s %v (%d samples), single %s %v (%d)", i, res.Used, res.Reliability, res.SamplesUsed,
+				want.Used, want.Reliability, want.SamplesUsed)
+		}
+		switch res.Used {
+		case planName:
+			planned++
+		case BoundsName:
+		default:
+			t.Errorf("query %d routed to %q", i, res.Used)
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no routed query ran the plan")
+	}
+	st := batch.Stats()
+	if st.Estimators[packName].Routed == 0 || st.Estimators[packName].EwmaLatencyMs == 0 {
+		t.Errorf("router's PackMC row %+v does not count the plan", st.Estimators[packName])
+	}
+
+	// The plan's cache entries are its own: a named PackMC query of a
+	// planned pair computes afresh, and a repeat of the routed one hits.
+	var q Query
+	for _, res := range batch.EstimateBatch(ctx, qs) {
+		if res.Used == planName {
+			q = res.Request
+			if !res.Cached {
+				t.Errorf("repeated routed query (%d,%d) missed the cache", q.S, q.T)
+			}
+		}
+	}
+	named := q
+	named.Estimator = packName
+	if res := batch.Estimate(ctx, named); res.Cached || res.Used != packName {
+		t.Errorf("named PackMC after the plan: used %q, cached %v", res.Used, res.Cached)
+	}
+	anytime := q
+	anytime.Eps = 0.05
+	if res := batch.Estimate(ctx, anytime); res.Err != nil || res.Used != packName {
+		t.Errorf("eps-targeted routed query: used %q, err %v", res.Used, res.Err)
+	}
+
+	var borrowed float64
+	if err := batch.Do(planName, func(est core.Estimator) error {
+		if est.Name() != planName {
+			t.Errorf("Do(%q) lent %s", planName, est.Name())
+		}
+		borrowed = est.Estimate(q.S, q.T, q.K)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if borrowed < 0 || borrowed > 1 {
+		t.Errorf("borrowed plan answered %v", borrowed)
 	}
 }

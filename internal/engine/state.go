@@ -100,6 +100,9 @@ type epochState struct {
 	ptIx     *lazyIndex[*core.ProbTreeIndex]
 }
 
+// pool returns the replica pool that serves the named estimator.
+func (st *epochState) pool(name string) *pool { return st.pools[servedBy(name)] }
+
 // srcTag returns the invalidation tag for source s, tolerating
 // out-of-range ids (admission cost estimates run before validation).
 func (st *epochState) srcTag(s uncertain.NodeID) uint64 {

@@ -145,3 +145,12 @@ func TestSidecarRejectsCorruption(t *testing.T) {
 		t.Fatalf("header-only sidecar: %v, %v", got, err)
 	}
 }
+
+// TestSidecarHugeCount: a batch header whose count no allocation can hold
+// is a truncated batch, not a crash.
+func TestSidecarHugeCount(t *testing.T) {
+	_, err := ReadSidecar(strings.NewReader("RELMUT1\nbatch 0 9223372036854775807\n"))
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("huge count: %v, want a truncation error", err)
+	}
+}

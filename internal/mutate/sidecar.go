@@ -32,6 +32,10 @@ import (
 // SidecarMagic is the first line of every sidecar file.
 const SidecarMagic = "RELMUT1"
 
+// sidecarPrealloc caps the mutations ReadSidecar preallocates for one
+// batch from its header's count.
+const sidecarPrealloc = 1024
+
 // SidecarPath returns the conventional sidecar path for a snapshot file.
 func SidecarPath(snapshot string) string { return snapshot + ".mutlog" }
 
@@ -116,7 +120,10 @@ func ReadSidecar(r io.Reader) ([]Batch, error) {
 		if len(batches) > 0 && epoch != batches[len(batches)-1].Epoch+1 {
 			return nil, fmt.Errorf("mutate: sidecar line %d: epoch %d does not chain from %d", line, epoch, batches[len(batches)-1].Epoch)
 		}
-		b := Batch{Epoch: epoch, Muts: make([]Mutation, 0, count)}
+		// The count is untrusted: preallocate at most sidecarPrealloc
+		// entries and let append grow a batch that really is larger, so a
+		// corrupt count fails as truncation instead of as an allocation.
+		b := Batch{Epoch: epoch, Muts: make([]Mutation, 0, min(count, sidecarPrealloc))}
 		for i := 0; i < count; i++ {
 			s, ok := next()
 			if !ok {
