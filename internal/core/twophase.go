@@ -99,8 +99,9 @@ func (x *TwoPhasePackMC) Reseed(seed uint64) { x.pm.Reseed(seed) }
 // completion work, in adjacency entries scanned, predict the plan's work
 // (phase 1 everywhere, completion of those packs and of the later ones B
 // needs at A's hit rate) and the plain pack's. Unless the first stays
-// under twoPhaseGain of the second and A holds twoPhaseMinA worlds, the
-// remaining packs of a plain k-sample run follow, and the result is
+// under twoPhaseGain of the second, and A holds twoPhaseMinA worlds or
+// met worlds outnumber open ones, the remaining packs of a plain k-sample
+// run follow, and the result is
 // exactly Estimate's from the same state. This choice reads the first
 // packs' outcomes, so on a pair where it flips from seed to seed it can
 // bias the answer slightly; BenchmarkRoutedPlan reports the mean error.
@@ -140,11 +141,10 @@ func (pm *PackMC) twoPhase(s, t uncertain.NodeID, k int, mayFallBack bool) (floa
 		run.HitsA += bits.OnesCount64(late & evenLanes)
 		run.finished(open&^evenLanes, late&^evenLanes)
 	}
+	w := splitWeight(run.A, run.B, worstSize(run.Met, run.Open, 64*first, k, run.Worlds))
 	// A's hit rate sizes B, pulled a quarter world toward 1/2 so that a
 	// small A that saw no hit (or no miss) does not size B as if p were 0
 	// (or 1).
-	worst := worstSize(run.Met, run.Open, 64*first, k, run.Worlds)
-	w := splitWeight(run.A, run.B, worst)
 	pA := (float64(run.HitsA) + 0.25) / (float64(run.A) + 0.5)
 	// Predicted work: phase 1 at every pack, completion at the first packs
 	// and at as many later ones as B needs at the pilot's open share.
