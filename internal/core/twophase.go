@@ -27,8 +27,8 @@ const (
 	// entries scanned: starting both sides and the per-pack bookkeeping.
 	packWork = 16
 	// twoPhaseMinA is the least size of sample A that sizes B where the
-	// open stratum outweighs the met one; below it A's hit rate says too
-	// little, and the plain pack runs.
+	// open stratum's predicted hits outnumber the met worlds; below it A's
+	// hit rate says too little, and the plain pack runs.
 	twoPhaseMinA = 8
 	// twoPhaseGrid is the number of hit rates the worst-case completion
 	// target is taken over.
@@ -100,8 +100,8 @@ func (x *TwoPhasePackMC) Reseed(seed uint64) { x.pm.Reseed(seed) }
 // (phase 1 everywhere, completion of those packs and of the later ones B
 // needs at A's hit rate) and the plain pack's. Unless the first stays
 // under twoPhaseGain of the second, and A holds twoPhaseMinA worlds or
-// met worlds outnumber open ones, the remaining packs of a plain k-sample
-// run follow, and the result is
+// met worlds outnumber the hits A's rate predicts among open ones, the
+// remaining packs of a plain k-sample run follow, and the result is
 // exactly Estimate's from the same state. This choice reads the first
 // packs' outcomes, so on a pair where it flips from seed to seed it can
 // bias the answer slightly; BenchmarkRoutedPlan reports the mean error.
@@ -157,9 +157,10 @@ func (pm *PackMC) twoPhase(s, t uncertain.NodeID, k int, mayFallBack bool) (floa
 		finished = min(finished, float64(first)*(1+float64(need-run.B)/float64(run.Open)))
 	}
 	// A small A sizes B by little more than its prior. That is trusted
-	// only where met worlds outnumber open ones, so that the answer rests
-	// on the met count more than on p.
-	blind := run.A < twoPhaseMinA && run.Met < run.Open
+	// only where the met worlds outnumber the hits A's rate predicts among
+	// the open ones, so that the answer rests on the met count more than
+	// on p.
+	blind := run.A < twoPhaseMinA && float64(run.Met) < float64(run.Open)*pA
 	if mayFallBack && (blind || float64(phase1)*shallow+finished*deep > twoPhaseGain*float64(packs)*(shallow+deep)) {
 		for j := first; j < packs; j++ {
 			plainHits += bits.OnesCount64(pm.runPack(base, uint64(j), s, t, activeLanes(j, k)))
