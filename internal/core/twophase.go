@@ -4,21 +4,23 @@ import (
 	"math"
 	"math/bits"
 
+	"relcomp/internal/bitvec"
 	"relcomp/internal/uncertain"
 )
 
 // TwoPhaseName is the name the two-phase pack plan answers under.
 const TwoPhaseName = "PackMC2P"
 
-// The two-phase plan's fixed shape. Phase 1 runs twoPhaseMult·k worlds
-// for twoPhaseLevels levels of the bidirectional search; the first
-// ceil(P/twoPhaseFirstDiv) packs of a k-sample budget's P always run to
-// completion. Budgets of fewer than twoPhaseMinPacks packs run the plain
-// pack.
+// The two-phase plan's fixed shape. Its pilot is k/twoPhasePilotDiv lanes
+// of pack 0, at least twoPhaseMinPilot and at most 64; phase 1 runs at
+// most twoPhaseMult·k worlds for twoPhaseLevels levels of the
+// bidirectional search. Budgets of fewer than twoPhaseMinPacks packs run
+// the plain pack.
 const (
 	twoPhaseLevels   = 3
 	twoPhaseMult     = 4
-	twoPhaseFirstDiv = 8
+	twoPhasePilotDiv = 8
+	twoPhaseMinPilot = 16
 	twoPhaseMinPacks = 2
 	// twoPhaseGain is the share of the plain pack's predicted work the
 	// plan's must stay under; nearer break-even the plain pack runs.
@@ -26,16 +28,6 @@ const (
 	// packWork is a pack's fixed cost in the cost model's unit, adjacency
 	// entries scanned: starting both sides and the per-pack bookkeeping.
 	packWork = 16
-	// twoPhaseMinA is the least size of sample A that sizes B where the
-	// open stratum's predicted hits outnumber the met worlds; below it A's
-	// hit rate says too little, and the plain pack runs.
-	twoPhaseMinA = 8
-	// twoPhaseGrid is the number of hit rates the worst-case completion
-	// target is taken over.
-	twoPhaseGrid = 32
-	// evenLanes marks the lanes of a pack whose open worlds form the
-	// sizing sample A; the odd lanes' open worlds start sample B.
-	evenLanes = 0x5555555555555555
 )
 
 // twoPhaseRun describes how one two-phase estimate was computed.
@@ -43,14 +35,12 @@ type twoPhaseRun struct {
 	// FellBack is set when the plan predicted no gain and ran the plain
 	// pack: the estimate then equals Estimate's from the same state.
 	FellBack bool
-	// Worlds is k1, the phase-1 sample; Met and Open count its worlds
-	// met within twoPhaseLevels levels and still open after them.
+	// Worlds is k1, the phase-1 sample; Met and Open count its worlds met
+	// within twoPhaseLevels levels and still open after them.
 	Worlds, Met, Open int
-	// A and B count the finished open worlds of the two completion
-	// samples, and HitsA and HitsB those among them that reached t.
-	A, B, HitsA, HitsB int
-	// Packs counts the packs run to completion.
-	Packs int
+	// B counts the open worlds run to completion, and Hits those among
+	// them that reached t.
+	B, Hits int
 }
 
 // TwoPhasePackMC is the routed two-phase plan as an Estimator over a
@@ -75,48 +65,44 @@ func (x *TwoPhasePackMC) Reseed(seed uint64) { x.pm.Reseed(seed) }
 // stratification, sized to be about as accurate as Estimate at the same
 // k, and falls back to Estimate where that is predicted not to pay.
 //
-// Phase 1 draws k1 = 64·numPacks(4k) worlds and runs each only
-// twoPhaseLevels levels of the bidirectional search. That sorts every
-// world into a stratum: met (t reached), dead (a side ran dry), or open,
-// with Met and Open worlds in the first and last. Phase 2 estimates the
-// open stratum's hit rate p from open worlds run to completion, and the
-// estimate is (Met + Open·p̂)/k1.
+// A pilot of n = k/8 worlds (within [16, 64]), the low lanes of pack 0,
+// runs to completion, as Estimate runs them. Its outcomes price the plan
+// and size it, and its h hits enter the answer as h/k whatever is
+// decided, the share they have in Estimate's. Everything else the answer
+// counts comes from other lanes, whose worlds are independent of the
+// pilot's. So given the pilot, either branch is an unbiased estimate of
+// R, and so is the answer, though the choice between them reads the
+// pilot's outcomes.
 //
-// Phase 2 keeps two samples apart. The first ceil(P/8) packs always run
-// to completion; the open worlds of their even lanes are sample A, those
-// of their odd lanes start sample B. Later packs then run to completion
-// in pack order while B is smaller than A's hit rate says it must be for
-// the plain pack's variance (completionSize), up to P finished packs in
-// all. The estimate is p̂ = w·p̂A + (1−w)·p̂B, where w depends on phase-1
-// counts alone (splitWeight). Lanes are independent worlds, so given the
-// phase-1 strata, A's outcomes say nothing about B's: p̂A is unbiased
-// because A is fixed in advance, p̂B because B's size depends on A alone,
-// and so is p̂ because its weights depend on neither. Letting A's outcome
-// size B is what spares the plan a worst-case completion size where p is
-// near 0 or 1.
+// The plan runs k1 worlds of packs 1, 2, ... only twoPhaseLevels levels
+// of the bidirectional search. That sorts every world into a stratum: met
+// (t reached), dead (a side ran dry), or open, with Met and Open worlds
+// in the first and last. It then runs open worlds to completion, in lane
+// order, while they, sample B, are fewer than the pilot's hit rate among
+// open worlds says they must be to match the variance of the k' = k − n
+// worlds the plain pack would draw instead (completionSize). That choice
+// reads phase-1 counts and the pilot alone, never a completion outcome it
+// counts, and lanes are independent worlds, so B's hit rate estimates the
+// open stratum's with a ratio estimator's O(1/B) bias. The plan's part of
+// the answer is R' = (Met + Open·Hits/B)/k1, and the answer (h + k'·R')/k.
 //
-// The always-finished first packs also price the plan: their phase-1 and
-// completion work, in adjacency entries scanned, predict the plan's work
-// (phase 1 everywhere, completion of those packs and of the later ones B
-// needs at A's hit rate) and the plain pack's. Unless the first stays
-// under twoPhaseGain of the second, and A holds twoPhaseMinA worlds or
-// met worlds outnumber the hits A's rate predicts among open ones, the
-// remaining packs of a plain k-sample run follow, and the result is
-// exactly Estimate's from the same state. This choice reads the first
-// packs' outcomes, so on a pair where it flips from seed to seed it can
-// bias the answer slightly; BenchmarkRoutedPlan reports the mean error.
+// A pack's cost grows about linearly with its live lanes, so the pilot's
+// work, in adjacency entries scanned, prices a phase-1 world and a
+// finished open world. k1 is Neyman's allocation between the two
+// (planSize). Unless the plan's predicted work stays under twoPhaseGain
+// of the plain pack's, the rest of a plain k-sample run follows, and the
+// result is exactly Estimate's from the same state.
 //
 // The result is a pure function of the instance's (seed, round) state and
 // (s, t, k).
 func (pm *PackMC) EstimateTwoPhase(s, t uncertain.NodeID, k int) float64 {
-	r, _ := pm.twoPhase(s, t, k, true)
+	r, _ := pm.twoPhase(s, t, k)
 	return r
 }
 
 // twoPhase is EstimateTwoPhase, also reporting how the estimate was
-// computed; without mayFallBack the double-sampling estimate always runs,
-// whatever its predicted cost or the size of A.
-func (pm *PackMC) twoPhase(s, t uncertain.NodeID, k int, mayFallBack bool) (float64, twoPhaseRun) {
+// computed.
+func (pm *PackMC) twoPhase(s, t uncertain.NodeID, k int) (float64, twoPhaseRun) {
 	mustValidQuery(pm.g, s, t, k)
 	if s == t {
 		return 1, twoPhaseRun{FellBack: true}
@@ -127,86 +113,65 @@ func (pm *PackMC) twoPhase(s, t uncertain.NodeID, k int, mayFallBack bool) (floa
 	}
 	pm.round++
 	base := mix(pm.seed, pm.round, 0)
-	phase1 := numPacks(twoPhaseMult * k)
-	run := twoPhaseRun{Worlds: 64 * phase1}
-	first := (packs + twoPhaseFirstDiv - 1) / twoPhaseFirstDiv // < packs, so every lane is active in both plans
-	plainHits := 0
+	n := min(max(k/twoPhasePilotDiv, twoPhaseMinPilot), 64)
+	pilot := bitvec.LowBits(n) // pack 0 is whole, since k > 64
 	var shallowWork, deepWork int
-	for j := 0; j < first; j++ {
-		met, open := pm.shallowPack(base, uint64(j), s, t, &shallowWork)
-		late := pm.finishPack(base, uint64(j), open, &deepWork)
-		plainHits += bits.OnesCount64(met | late)
-		run.shallow(met, open)
-		run.A += bits.OnesCount64(open & evenLanes)
-		run.HitsA += bits.OnesCount64(late & evenLanes)
-		run.finished(open&^evenLanes, late&^evenLanes)
+	m, o := pm.shallowPack(base, 0, s, t, pilot, &shallowWork)
+	late := pm.finishPack(base, 0, o, &deepWork)
+	hits := bits.OnesCount64(m | late)
+	met, open := bits.OnesCount64(m), bits.OnesCount64(o)
+	rest := k - n
+	// The pilot's hit rate among open worlds sizes B, pulled a quarter
+	// world toward 1/2 so that a pilot that saw no hit (or no miss) does
+	// not size B as if p were 0 (or 1).
+	p := (float64(bits.OnesCount64(late)) + 0.25) / (float64(open) + 0.5)
+	// Work per phase-1 world, per finished open world (at least one entry)
+	// and per plain world.
+	shallow := float64(shallowWork)/float64(n) + packWork/64.0
+	deep := max(float64(deepWork)/float64(max(open, 1)), 1)
+	plain := shallow + float64(deepWork)/float64(n)
+	phase1, work := planSize(met, open, n, rest, numPacks(twoPhaseMult*k), p, shallow, deep)
+	if work > twoPhaseGain*float64(rest)*plain {
+		hits += bits.OnesCount64(pm.runPack(base, 0, s, t, ^pilot))
+		hits += pm.sampleRange(base, s, t, k, 1, packs)
+		return float64(hits) / float64(k), twoPhaseRun{FellBack: true}
 	}
-	w := splitWeight(run.A, run.B, worstSize(run.Met, run.Open, 64*first, k, run.Worlds))
-	// A's hit rate sizes B, pulled a quarter world toward 1/2 so that a
-	// small A that saw no hit (or no miss) does not size B as if p were 0
-	// (or 1).
-	pA := (float64(run.HitsA) + 0.25) / (float64(run.A) + 0.5)
-	// Predicted work: phase 1 at every pack, completion at the first packs
-	// and at as many later ones as B needs at the pilot's open share.
-	shallow := float64(shallowWork)/float64(first) + packWork
-	deep := float64(deepWork) / float64(first)
-	finished := float64(packs)
-	if need := completionSize(run.Met, run.Open, 64*first, k, run.Worlds, pA, w, run.A); need <= run.B {
-		finished = float64(first)
-	} else if run.Open > 0 {
-		finished = min(finished, float64(first)*(1+float64(need-run.B)/float64(run.Open)))
-	}
-	// A small A sizes B by little more than its prior. That is trusted
-	// only where the met worlds outnumber the hits A's rate predicts among
-	// the open ones, so that the answer rests on the met count more than
-	// on p.
-	blind := run.A < twoPhaseMinA && float64(run.Met) < float64(run.Open)*pA
-	if mayFallBack && (blind || float64(phase1)*shallow+finished*deep > twoPhaseGain*float64(packs)*(shallow+deep)) {
-		for j := first; j < packs; j++ {
-			plainHits += bits.OnesCount64(pm.runPack(base, uint64(j), s, t, activeLanes(j, k)))
-		}
-		return float64(plainHits) / float64(k), twoPhaseRun{FellBack: true}
-	}
-	for j := first; j < phase1; j++ {
-		met, open := pm.shallowPack(base, uint64(j), s, t, nil)
-		run.shallow(met, open)
-		if open != 0 && run.Packs < packs &&
-			run.B < completionSize(run.Met, run.Open, 64*(j+1), k, run.Worlds, pA, w, run.A) {
-			run.finished(open, pm.finishPack(base, uint64(j), open, nil))
+	run := twoPhaseRun{Worlds: 64 * phase1}
+	for j := 1; j <= phase1; j++ {
+		m, o := pm.shallowPack(base, uint64(j), s, t, ^uint64(0), nil)
+		run.Met += bits.OnesCount64(m)
+		run.Open += bits.OnesCount64(o)
+		need := completionSize(run.Met, run.Open, 64*j, rest, run.Worlds, p)
+		if short := math.Ceil(need) - float64(run.B); o != 0 && short > 0 {
+			sel := lowLanes(o, int(min(short, 64)))
+			run.B += bits.OnesCount64(sel)
+			run.Hits += bits.OnesCount64(pm.finishPack(base, uint64(j), sel, nil))
 		}
 	}
-	var p float64
-	switch {
-	case run.B == 0:
-		p = float64(run.HitsA) / float64(max(run.A, 1))
-	case run.A == 0:
-		p = float64(run.HitsB) / float64(run.B)
-	default:
-		p = w*float64(run.HitsA)/float64(run.A) + (1-w)*float64(run.HitsB)/float64(run.B)
+	// The first pack with an open world always finishes one, so B is empty
+	// only when Open is.
+	r := float64(run.Met)
+	if run.B > 0 {
+		r += float64(run.Open) * float64(run.Hits) / float64(run.B)
 	}
-	return (float64(run.Met) + float64(run.Open)*p) / float64(run.Worlds), run
+	return (float64(hits) + float64(rest)*r/float64(run.Worlds)) / float64(k), run
 }
 
-// shallow adds one pack's phase-1 strata.
-func (r *twoPhaseRun) shallow(met, open uint64) {
-	r.Met += bits.OnesCount64(met)
-	r.Open += bits.OnesCount64(open)
+// lowLanes returns the c lowest set lanes of x, or x if it has fewer.
+func lowLanes(x uint64, c int) uint64 {
+	rest := x
+	for ; c > 0 && rest != 0; c-- {
+		rest &= rest - 1
+	}
+	return x &^ rest
 }
 
-// finished adds a finished pack's open lanes in sample B, late being
-// those that met.
-func (r *twoPhaseRun) finished(open, late uint64) {
-	r.B += bits.OnesCount64(open)
-	r.HitsB += bits.OnesCount64(late)
-	r.Packs++
-}
-
-// shallowPack starts pack j with every lane active and runs its first
+// shallowPack starts pack j on the active lanes and runs its first
 // twoPhaseLevels levels; it returns the lanes met and the lanes still
 // open. The pack stays in flight for finishPack. A non-nil work
 // accumulates levelWork.
-func (pm *PackMC) shallowPack(base, pack uint64, s, t uncertain.NodeID, work *int) (met, open uint64) {
-	open = ^uint64(0)
+func (pm *PackMC) shallowPack(base, pack uint64, s, t uncertain.NodeID, active uint64, work *int) (met, open uint64) {
+	open = active
 	pm.startPack(s, t, open)
 	for l := 0; l < twoPhaseLevels && open != 0; l++ {
 		if work != nil {
@@ -219,70 +184,52 @@ func (pm *PackMC) shallowPack(base, pack uint64, s, t uncertain.NodeID, work *in
 	return met, open
 }
 
-// The variance of the double-sampling estimate is
-//
-//	(R(1−R) − wu·q)/k1 + wu²·q·(w²/uA + (1−w)²/uB),  q = p(1−p),
-//
-// for phase-1 shares wm and wu of met and open worlds, R = wm + wu·p, k1
-// phase-1 worlds, and completion samples of uA and uB open worlds
-// weighted w and 1−w. The plain pack's is R(1−R)/k, so the plan matches
-// it when wu²·q·(w²/uA + (1−w)²/uB) stays within
-//
-//	budget(p) = R(1−R)·(1/k − 1/k1) + wu·q/k1.
-//
-// With one pooled sample of u worlds the condition is u ≥ wu²·q/budget(p).
-
-// phase1Shares returns the met and open shares of n phase-1 worlds, with
-// one pseudo-world in each of the three strata: a pilot pack that saw no
-// dead world would otherwise put R at its met and open share, near 1,
-// and make the plain pack look far more exact than it is.
-func phase1Shares(met, open, n int) (wm, wu float64) {
+// shares returns the met and open shares of n phase-1 worlds, met and
+// open of them met and open, with one pseudo-world in each of the three
+// strata: a pack that saw no dead world would otherwise put R at its met
+// and open share, near 1, and make the plain pack look far more exact
+// than it is.
+func shares(met, open, n int) (wm, wu float64) {
 	return float64(met+1) / float64(n+3), float64(open+1) / float64(n+3)
 }
 
-// budget is the plain pack's variance less the double-sampling variance
-// of phase 1, at open-stratum hit rate p: what completion may add.
-func budget(wm, wu, p float64, k, k1 int) float64 {
-	r := wm + wu*p
-	return r*(1-r)*(1/float64(k)-1/float64(k1)) + wu*p*(1-p)/float64(k1)
+// planSize returns the phase-1 size, in packs, of the cheapest plan that
+// meets the plain pack's variance at k worlds, and its predicted work,
+// for a pilot of n worlds, met and open of them met and open, whose open
+// worlds hit at rate p. A phase-1 world costs shallow and a finished open
+// world deep. With the variance terms v1 = R(1−R) − wu·q and v2 = wu²·q of
+// completionSize, Neyman's allocation puts the least work at
+//
+//	k1 = k · (v1 + √(v1·v2·deep/shallow)) / (R(1−R)),
+//
+// rounded up to packs, more than k worlds so that some B meets the target
+// whatever the counts, and at most maxPacks packs; B is then
+// completionSize's.
+func planSize(met, open, n, k, maxPacks int, p, shallow, deep float64) (packs int, work float64) {
+	wm, wu := shares(met, open, n)
+	r, q := wm+wu*p, p*(1-p)
+	v1, v2 := r*(1-r)-wu*q, wu*wu*q
+	k1 := min(float64(k)*(v1+math.Sqrt(v1*v2*deep/shallow))/(r*(1-r)), float64(64*maxPacks))
+	packs = min(max(numPacks(int(math.Ceil(k1))), k/64+1), maxPacks)
+	return packs, float64(64*packs)*shallow + completionSize(met, open, n, k, 64*packs, p)*deep
 }
 
-// worstSize returns the pooled completion size the worst open-stratum
-// hit rate needs, over twoPhaseGrid rates in (0, 1): the size a rule
-// that knew nothing of p would have to finish.
-func worstSize(met, open, n, k, k1 int) float64 {
-	wm, wu := phase1Shares(met, open, n)
-	worst := 0.0
-	for i := 0; i < twoPhaseGrid; i++ {
-		p := (float64(i) + 0.5) / twoPhaseGrid
-		worst = max(worst, wu*wu*p*(1-p)/budget(wm, wu, p, k, k1))
-	}
-	return worst
-}
-
-// splitWeight returns A's weight w in p̂ from phase-1 counts alone: A's
-// share of the always-finished sample of a and b worlds, but no more than
-// leaves B half the budget at the worst hit rate (pooled size worst), so
-// that some size of B always meets it.
-func splitWeight(a, b int, worst float64) float64 {
-	if a == 0 {
-		return 0
-	}
-	return min(float64(a)/float64(a+b), math.Sqrt(float64(a)/(2*worst)))
-}
-
-// completionSize returns the size sample B must reach so that, at A's hit
-// rate pA in (0, 1), the double-sampling variance is at most the plain
-// pack's; A has a worlds at weight w. It returns math.MaxInt when no size
-// of B would do.
-func completionSize(met, open, n, k, k1 int, pA, w float64, a int) int {
-	wm, wu := phase1Shares(met, open, n)
-	room := budget(wm, wu, pA, k, k1) / (wu * wu * pA * (1 - pA))
-	if a > 0 {
-		room -= w * w / float64(a)
-	}
-	if room <= 0 {
-		return math.MaxInt
-	}
-	return max(1, int(math.Ceil((1-w)*(1-w)/room)))
+// completionSize returns the number of open worlds B must finish so that,
+// at open-stratum hit rate p in (0, 1), the double-sampling variance of n
+// phase-1 worlds, met and open of them met and open, is at most the plain
+// pack's at k worlds, given k1 phase-1 worlds in all. That variance is
+//
+//	(R(1−R) − wu·q)/k1 + wu²·q/B,  q = p(1−p),
+//
+// for phase-1 shares wm and wu of met and open worlds and R = wm + wu·p;
+// the plain pack's is R(1−R)/k. So B must reach wu²·q over
+//
+//	budget = R(1−R)·(1/k − 1/k1) + wu·q/k1,
+//
+// which is positive since k1 > k.
+func completionSize(met, open, n, k, k1 int, p float64) float64 {
+	wm, wu := shares(met, open, n)
+	r, q := wm+wu*p, p*(1-p)
+	budget := r*(1-r)*(1/float64(k)-1/float64(k1)) + wu*q/float64(k1)
+	return math.Max(1, wu*wu*q/budget)
 }
