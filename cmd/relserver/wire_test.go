@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +88,32 @@ func TestQueryEndpointBytes(t *testing.T) {
 	json.NewEncoder(&want).Encode(toJSON(res))
 	if !res.Cached || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 		t.Errorf("cached %v; wire\n%s\nwant\n%s", res.Cached, rec.Body.Bytes(), want.Bytes())
+	}
+}
+
+// TestBodyRejectsTrailingData: /v1/query, /v1/batch and /v1/mutate
+// parse the whole body as one JSON value, so data after it is a 400 and
+// the same body without it is accepted (or, for /v1/mutate on a server
+// without mutations enabled, rejected for another reason).
+func TestBodyRejectsTrailingData(t *testing.T) {
+	h := testServer(t).handler()
+	for _, c := range []struct{ url, body string }{
+		{"/v1/query", `{"s":0,"t":5,"k":200,"estimator":"MC"}`},
+		{"/v1/batch", `{"queries":[{"s":0,"t":5,"k":200,"estimator":"MC"}]}`},
+		{"/v1/mutate", `{"mutations":[{"op":"update","from":0,"to":1,"p":0.5}]}`},
+	} {
+		code, out := post(t, h, c.url, c.body+` {"s":1}`)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s with trailing data: status %d, want 400", c.url, code)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "invalid JSON body") {
+			t.Errorf("%s with trailing data: error %q", c.url, msg)
+		}
+		if code, out := post(t, h, c.url, c.body); code == http.StatusBadRequest {
+			if msg, _ := out["error"].(string); strings.Contains(msg, "invalid JSON body") {
+				t.Errorf("%s without trailing data: %q", c.url, msg)
+			}
+		}
 	}
 }
 
