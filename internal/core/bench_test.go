@@ -69,31 +69,38 @@ func BenchmarkPackVsMCKernel(b *testing.B) {
 }
 
 // BenchmarkWidePackSweep times what the wide lanes still serve: a source
-// sweep (EstimateAll) at 64, 256 and 512 lanes on DBLP_0.2 at the paper's
-// k=1000, over the sources of six h=2 pairs. All three widths return
-// bit-identical values, so ms/source compares their costs directly; s-t
-// queries run one 64-lane kernel at every width and are timed by
-// BenchmarkPackVsMCKernel.
+// sweep (EstimateAll) at 64, 256 and 512 lanes at the paper's k=1000, over
+// the sources of eight h=2 pairs on each of four datasets. All three
+// widths return bit-identical values, so ms/source compares their costs
+// directly; s-t queries run one 64-lane kernel at every width and are
+// timed by BenchmarkPackVsMCKernel. With -count N each repetition runs
+// the widths back to back, so the comparison is interleaved.
 func BenchmarkWidePackSweep(b *testing.B) {
-	g := datasets.DBLP02(1, 42)
-	pairs, err := workload.Pairs(g, 6, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, lanes := range []int{64, 256, 512} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			var est SourceEstimator = NewPackMC(g, 7)
-			if lanes > 64 {
-				est = NewWidePackMC(g, 7, lanes)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, p := range pairs {
-					est.EstimateAll(p.S, 1000)
+	for _, name := range []string{"lastFM", "NetHept", "AS_Topology", "DBLP_0.2"} {
+		spec, err := datasets.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := spec.Generate(1, 42)
+		pairs, err := workload.Pairs(g, 8, 2, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, lanes := range []int{64, 256, 512} {
+			b.Run(fmt.Sprintf("%s/lanes=%d", name, lanes), func(b *testing.B) {
+				var est SourceEstimator = NewPackMC(g, 7)
+				if lanes > 64 {
+					est = NewWidePackMC(g, 7, lanes)
 				}
-			}
-			b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N*len(pairs)), "ms/source")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, p := range pairs {
+						est.EstimateAll(p.S, 1000)
+					}
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N*len(pairs)), "ms/source")
+			})
+		}
 	}
 }

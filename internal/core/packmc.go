@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -596,41 +595,22 @@ type ParallelPackMC struct {
 	seed    uint64
 	round   uint64
 	workers int
-	lanes   int       // the width the estimator is named for; see NewParallelPackMCLanes
 	pool    sync.Pool // *PackMC workers
 }
 
 // NewParallelPackMC returns a ParallelPackMC with workers goroutines
 // (0 means GOMAXPROCS) over 64-lane PackMC worker kernels.
 func NewParallelPackMC(g *uncertain.Graph, seed uint64, workers int) *ParallelPackMC {
-	return NewParallelPackMCLanes(g, seed, workers, 64)
-}
-
-// NewParallelPackMCLanes is NewParallelPackMC named for a lane width: 64,
-// 256, or 512. Every width shards s-t packs over the same 64-lane
-// bidirectional PackMC workers — the wide kernels only pay for source
-// sweeps, which ParallelPackMC does not run — so lanes changes only the
-// name, and values are bit-identical to PackMC (and to WidePackMC at that
-// width) for any worker count.
-func NewParallelPackMCLanes(g *uncertain.Graph, seed uint64, workers, lanes int) *ParallelPackMC {
-	if lanes != 64 && lanes != 256 && lanes != 512 {
-		panic(fmt.Sprintf("core: ParallelPackMC lanes must be 64, 256, or 512, got %d", lanes))
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &ParallelPackMC{g: g, seed: seed, workers: workers, lanes: lanes}
+	p := &ParallelPackMC{g: g, seed: seed, workers: workers}
 	p.pool.New = func() interface{} { return NewPackMC(g, seed) }
 	return p
 }
 
 // Name implements Estimator.
-func (p *ParallelPackMC) Name() string {
-	if p.lanes == 64 {
-		return "ParallelPackMC"
-	}
-	return fmt.Sprintf("ParallelPackMC%d", p.lanes)
-}
+func (p *ParallelPackMC) Name() string { return "ParallelPackMC" }
 
 // Reseed implements Seeder.
 func (p *ParallelPackMC) Reseed(seed uint64) {

@@ -7,14 +7,12 @@ import (
 	"relcomp/internal/uncertain"
 )
 
-// This file is the unrolled 256-lane source-sweep kernel: one [4]uint64
-// lane group per node and edge, every word-group operation written as
-// four scalar expressions so the masks live in registers, with a single
-// interleaved cache line per node (mask+sent) and per edge (mask+decided).
-// The 512-lane kernel delegates here whenever a wide pack's upper four
-// words carry no live worlds (any lane budget ≤ 256 into the group), so
-// this is also the 512-lane fast path at small k. It serves EstimateAll
-// and AllSampler only; s-t queries run PackMC's bidirectional search.
+// This file is the unrolled source-sweep kernel: one [4]uint64 lane group
+// per node and edge, every word-group operation written as four scalar
+// expressions so the masks live in registers, with a single interleaved
+// cache line per node (mask+sent) and per edge (mask+decided). Both
+// WidePackMC widths sweep here. It serves EstimateAll and AllSampler
+// only; s-t queries run PackMC's bidirectional search.
 //
 // The sweep has two modes. Sparse: PackMC's cascading worklist — cost
 // proportional to the frontier, nodes processed in discovery order,

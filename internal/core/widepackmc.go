@@ -9,13 +9,15 @@ import (
 	"relcomp/internal/uncertain"
 )
 
-// WidePackMC is PackMC at 256 or 512 lanes: the same estimator, with
-// source sweeps (EstimateAll, AllSampler) run over lane groups of 4 or 8
-// words — 256 or 512 possible worlds per graph traversal. One wide sweep
-// does the work of 4 (or 8) consecutive PackMC packs: the worklist is
-// walked once, each node's CSR row is scanned once, and each edge's epoch
-// is checked once for the whole group, so the per-pack bookkeeping that
-// dominates a 64-lane sweep on mid-probability graphs is amortized w-fold.
+// WidePackMC is PackMC with source sweeps (EstimateAll, AllSampler) run
+// over lane groups of 4 words — 256 possible worlds per graph traversal.
+// One wide sweep does the work of 4 consecutive PackMC packs: the
+// worklist is walked once, each node's CSR row is scanned once, and each
+// edge's epoch is checked once for the whole group, so the per-pack
+// bookkeeping that dominates a 64-lane sweep on mid-probability graphs is
+// amortized 4-fold. The estimator is named for 256 or 512 lanes
+// (PackMC256, PackMC512); both widths sweep 4-word groups, because a
+// hand-unrolled 8-word kernel measured no cheaper.
 //
 // s-t queries (Estimate, Sampler) do not use the wide lanes: they run
 // PackMC's 64-lane bidirectional search over the same packs, on a PackMC
@@ -23,26 +25,23 @@ import (
 // in the middle pops ~100 nodes per pack, where any forward search to t —
 // however wide — drains most of s's second shell.
 //
-// The hot sweep kernels (widepack4.go, widepack8.go) are fully unrolled
-// over the lane group: masks live in scalar locals the register allocator
-// can keep out of memory, and a node's (mask, sent) pair — like an edge's
+// The hot sweep kernel (widepack4.go) is fully unrolled over the lane
+// group: masks live in scalar locals the register allocator can keep out
+// of memory, and a node's (mask, sent) pair — like an edge's
 // (mask, decided) pair — is one interleaved 64-byte group, so a random
 // node or edge probe at 256 lanes touches exactly one cache line where
 // four separate PackMC sweeps would take four dependent misses spread
 // over time.
 //
 // Bit-identity contract: word ww of wide pack J is 64-world pack
-// j = J·w + ww, and draws its edge masks from the exact counter stream
+// j = J·4 + ww, and draws its edge masks from the exact counter stream
 // PackMC's pack j uses — key mix(base, j, edge) — restricted to the same
 // active lanes. Per-lane outcomes are therefore identical to PackMC's for
 // the same (seed, round), hit counts are additive over any partition of
 // the lane range, and Estimate / EstimateAll / Sampler / AllSampler all
 // return bit-identical values to PackMC at every width, for any traversal
 // order, chunking, or sharding (asserted by the package's width-identity
-// tests). A corollary the 512-lane kernel exploits: a wide pack whose
-// upper four words carry no live worlds (any budget ≤ 256 lanes into the
-// group) is exactly a 4-word pack over 64-packs J·8 .. J·8+3, so it runs
-// on the 4-word kernel and pays 4-word costs.
+// tests).
 //
 // A sweep is frontier-compressed: the sparse mode is PackMC's cascading
 // worklist (cost proportional to the frontier, discovery order), and when
@@ -66,7 +65,7 @@ type WidePackMC struct {
 	seed uint64
 	// round counts queries since the last Reseed, exactly like PackMC.
 	round uint64
-	w     int // words per wide pack: 4 (256 lanes) or 8 (512 lanes)
+	lanes int // 256 or 512: the width the estimator is named for
 
 	// st is the 64-lane kernel that answers s-t queries, built on the
 	// first one; only its sampleRange/sampleLanes are used, from this
@@ -79,7 +78,7 @@ type WidePackMC struct {
 	// nstamp packs a node's two stamps into one word — low half "mask is
 	// valid this pack", high half "node is in the sparse worklist" — so a
 	// neighbor probe resolves both with a single cache line.
-	// Edge scratch (edgeEpoch, qfix, edges4/8) is indexed by out-CSR SLOT,
+	// Edge scratch (edgeEpoch, qfix, edges4) is indexed by out-CSR SLOT,
 	// not edge id: a node scan then touches its edge state sequentially,
 	// and the insertion-ordered edge id — which only the counter-stream
 	// key needs — is loaded from the CSR solely on the probes that draw.
@@ -90,13 +89,9 @@ type WidePackMC struct {
 	queue     []uncertain.NodeID
 	touched   []uncertain.NodeID // nodes stamped this pack
 
-	// Width-specific node/edge word groups, allocated on first use: a
-	// 512-lane instance whose queries never exceed 256 live lanes per
-	// group runs entirely on the 4-word scratch.
+	// Node/edge word groups, allocated on the first sweep.
 	nodes4 []wideNode4
 	edges4 []wideEdge4
-	nodes8 []wideNode8
-	edges8 []wideEdge8
 
 	// Dense-mode frontier bitmaps (one bit per node), allocated on the
 	// first sparse→dense switch.
@@ -128,20 +123,6 @@ type wideEdge4 struct {
 	dec  [4]uint64
 }
 
-// wideNode8 and wideEdge8 are the 512-lane equivalents (two lines each).
-type wideNode8 struct {
-	mask [8]uint64
-	sent [8]uint64
-}
-
-type wideEdge8 struct {
-	mask [8]uint64
-	dec  [8]uint64
-}
-
-// maxWideWords is the widest supported lane group (512 lanes).
-const maxWideWords = 8
-
 // denseSwitchDen sets the default dense-switch threshold to
 // NumNodes/denseSwitchDen: only a backlog of half the graph means the
 // cascade is dense enough that level-synchronous bitmap sweeps (one visit
@@ -169,7 +150,9 @@ func mixFinal(z uint64) uint64 {
 }
 
 // NewWidePackMC returns a wide-pack estimator over g with the given seed.
-// lanes must be 256 or 512 (PackMC itself is the 64-lane case).
+// lanes must be 256 or 512 (PackMC itself is the 64-lane case); it only
+// names the estimator, since both widths sweep 4-word groups and every
+// width returns PackMC's values.
 func NewWidePackMC(g *uncertain.Graph, seed uint64, lanes int) *WidePackMC {
 	if lanes != 256 && lanes != 512 {
 		panic(fmt.Sprintf("core: WidePackMC lanes must be 256 or 512, got %d", lanes))
@@ -177,7 +160,7 @@ func NewWidePackMC(g *uncertain.Graph, seed uint64, lanes int) *WidePackMC {
 	return &WidePackMC{
 		g:              g,
 		seed:           seed,
-		w:              lanes / 64,
+		lanes:          lanes,
 		queue:          make([]uncertain.NodeID, 0, packQueueCap),
 		denseThreshold: g.NumNodes() / denseSwitchDen,
 	}
@@ -203,10 +186,10 @@ func (pm *WidePackMC) ensureSweepScratch() {
 }
 
 // Name implements Estimator: "PackMC256" or "PackMC512".
-func (pm *WidePackMC) Name() string { return fmt.Sprintf("PackMC%d", pm.w*64) }
+func (pm *WidePackMC) Name() string { return fmt.Sprintf("PackMC%d", pm.lanes) }
 
-// Lanes returns the worlds evaluated per traversal (256 or 512).
-func (pm *WidePackMC) Lanes() int { return pm.w * 64 }
+// Lanes returns the width the estimator is named for (256 or 512).
+func (pm *WidePackMC) Lanes() int { return pm.lanes }
 
 // Reseed implements Seeder.
 func (pm *WidePackMC) Reseed(seed uint64) {
@@ -273,58 +256,23 @@ func (pm *WidePackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
 	return out
 }
 
-// accumulateAll sweeps the lane range [lo, hi) and adds every touched
-// node's per-world hit count into counts.
+// accumulateAll sweeps the lane range [lo, hi) in 4-word groups and adds
+// every touched node's per-world hit count into counts.
 func (pm *WidePackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int, counts []int64) {
 	pm.ensureSweepScratch()
-	w := pm.w
-	var active [maxWideWords]uint64
 	for j := lo >> 6; j*64 < hi; {
-		wp := j / w
-		end := (wp + 1) * w
-		for ww := 0; ww < w; ww++ {
-			active[ww] = 0
+		wp := j / 4
+		var active [4]uint64
+		for ; j < (wp+1)*4 && j*64 < hi; j++ {
+			active[j-wp*4] = laneMask(j, lo, hi)
 		}
-		for ; j < end && j*64 < hi; j++ {
-			active[j-wp*w] = laneMask(j, lo, hi)
-		}
-		pm.runWidePack(base, uint64(wp), s, &active)
-		if w == 4 || active[4]|active[5]|active[6]|active[7] == 0 {
-			// The pack ran on the 4-word kernel (native 256-lane width, or a
-			// 512-lane group whose upper words carried no live worlds).
-			for _, v := range pm.touched {
-				nm := &pm.nodes4[v].mask
-				counts[v] += int64(bits.OnesCount64(nm[0]) + bits.OnesCount64(nm[1]) +
-					bits.OnesCount64(nm[2]) + bits.OnesCount64(nm[3]))
-			}
-		} else {
-			for _, v := range pm.touched {
-				nm := &pm.nodes8[v].mask
-				c := 0
-				for ww := range nm {
-					c += bits.OnesCount64(nm[ww])
-				}
-				counts[v] += int64(c)
-			}
+		pm.runWide4(base, uint64(wp)*4, s, &active)
+		for _, v := range pm.touched {
+			nm := &pm.nodes4[v].mask
+			counts[v] += int64(bits.OnesCount64(nm[0]) + bits.OnesCount64(nm[1]) +
+				bits.OnesCount64(nm[2]) + bits.OnesCount64(nm[3]))
 		}
 	}
-}
-
-// runWidePack propagates one wide pack from s to its fixpoint and records
-// every stamped node in pm.touched, its word group left behind (word ww
-// covers 64-world pack wp·w+ww). 512-lane groups whose upper four words
-// have no live worlds delegate to the 4-word kernel on the same counter
-// streams (see the type comment).
-func (pm *WidePackMC) runWidePack(base, wp uint64, s uncertain.NodeID, active *[maxWideWords]uint64) {
-	if pm.w == 4 {
-		pm.runWide4(base, wp*4, s, (*[4]uint64)(active[:4]))
-		return
-	}
-	if active[4]|active[5]|active[6]|active[7] == 0 {
-		pm.runWide4(base, wp*8, s, (*[4]uint64)(active[:4]))
-		return
-	}
-	pm.runWide8(base, wp*8, s, active)
 }
 
 // nextPack invalidates all wide-pack scratch in O(1), with the same
@@ -350,31 +298,20 @@ func (pm *WidePackMC) ensureFrontier() (cur, next []uint64) {
 	return pm.frontier, pm.nextFrontier
 }
 
-// MemoryBytes implements MemoryReporter: the full-width sweep capacity
-// plus whatever the 512-lane instance's half-width delegation, the dense
-// bitmaps and the s-t kernel have actually allocated. The sweep capacity
-// is counted from construction, although it is built on the first sweep,
-// so an instance that has only answered s-t queries reports more than it
-// holds.
+// MemoryBytes implements MemoryReporter: what the instance has actually
+// allocated — the sweep scratch (stamps, per-slot edge state, word
+// groups) and dense bitmaps once a sweep has built them, and the s-t
+// kernel once an s-t query has — so an instance that has only answered
+// s-t queries reports no sweep scratch.
 func (pm *WidePackMC) MemoryBytes() int64 {
-	b := wideScratchBytes(pm.g.NumNodes(), pm.g.NumEdges(), pm.w) +
+	b := int64(len(pm.nstamp)+len(pm.qfix)+len(pm.frontier)+len(pm.nextFrontier))*8 +
+		int64(len(pm.edgeEpoch))*4 +
+		int64(len(pm.nodes4)+len(pm.edges4))*64 +
 		int64(cap(pm.queue)+cap(pm.touched))*4 + pm.scratch.MemoryBytes()
-	if pm.w == 8 && pm.nodes4 != nil {
-		b += int64(len(pm.nodes4))*64 + int64(len(pm.edges4))*64
-	}
-	b += int64(len(pm.frontier)+len(pm.nextFrontier)) * 8
 	if pm.st != nil {
 		b += pm.st.MemoryBytes()
 	}
 	return b
-}
-
-// wideScratchBytes is the graph-proportional scratch of one WidePackMC:
-// per node an interleaved mask+sent group plus the packed stamp word, per
-// edge an interleaved mask+decided group, a stamp, and the fixed-point
-// probability.
-func wideScratchBytes(n, m, w int) int64 {
-	return int64(n)*int64(16*w+8) + int64(m)*int64(16*w+12)
 }
 
 // Sampler implements IncrementalEstimator with PackMC's session on the

@@ -145,33 +145,46 @@ func TestWidePackMCAllSamplerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelPackMCLanesBitIdentical checks sharding: a parallel wide
-// estimator equals sequential PackMC for any worker count, including
-// shard boundaries that split a wide pack mid-group.
+// TestParallelPackMCLanesBitIdentical checks sharding: ParallelPackMC
+// equals sequential PackMC and WidePackMC at each width for any worker
+// count, including shard boundaries that split a wide pack mid-group, on
+// both the fixed-budget and the anytime path. PackMC is the 64-lane case.
 func TestParallelPackMCLanesBitIdentical(t *testing.T) {
 	g := wideTestGraph(200, 1200, 0.2, 0.6, 5)
 	s, tgt := uncertain.NodeID(0), uncertain.NodeID(g.NumNodes()-1)
+	newRef := func(lanes int) IncrementalEstimator {
+		if lanes == 64 {
+			return NewPackMC(g, 99)
+		}
+		return NewWidePackMC(g, 99, lanes)
+	}
 	for _, lanes := range []int{64, 256, 512} {
 		for _, workers := range []int{1, 3, 7} {
 			t.Run(fmt.Sprintf("lanes=%d/workers=%d", lanes, workers), func(t *testing.T) {
-				ref := NewPackMC(g, 99)
-				par := NewParallelPackMCLanes(g, 99, workers, lanes)
+				ref, wide := NewPackMC(g, 99), newRef(lanes)
+				par := NewParallelPackMC(g, 99, workers)
 				for _, k := range []int{65, 257, 700} {
 					want := ref.Estimate(s, tgt, k)
+					if got := wide.Estimate(s, tgt, k); got != want {
+						t.Fatalf("k=%d: %d-lane %v != PackMC %v", k, lanes, got, want)
+					}
 					if got := par.Estimate(s, tgt, k); got != want {
 						t.Fatalf("k=%d: parallel %v != sequential %v", k, got, want)
 					}
 				}
 				// Anytime path, with chunks unaligned to both pack widths.
-				ref2 := NewPackMC(g, 99)
-				want := ref2.Estimate(s, tgt, 700)
-				par2 := NewParallelPackMCLanes(g, 99, workers, lanes)
-				sm := par2.Sampler(s, tgt)
-				for _, dk := range []int{37, 300, 363} {
-					sm.Advance(dk)
-				}
-				if got := sm.Snapshot().Estimate; got != want {
-					t.Fatalf("sampler: parallel %v != sequential %v", got, want)
+				want := NewPackMC(g, 99).Estimate(s, tgt, 700)
+				for name, est := range map[string]IncrementalEstimator{
+					"wide":     newRef(lanes),
+					"parallel": NewParallelPackMC(g, 99, workers),
+				} {
+					sm := est.Sampler(s, tgt)
+					for _, dk := range []int{37, 300, 363} {
+						sm.Advance(dk)
+					}
+					if got := sm.Snapshot().Estimate; got != want {
+						t.Fatalf("%s sampler: %v != sequential %v", name, got, want)
+					}
 				}
 			})
 		}
@@ -311,15 +324,19 @@ func TestLaneMaskExhaustive(t *testing.T) {
 }
 
 // TestMemoryBytesWide sanity-checks the arithmetic reporters against the
-// graph size.
+// graph size: once a sweep has run, both widths count the 4-word node and
+// edge groups it built.
 func TestMemoryBytesWide(t *testing.T) {
 	g := wideTestGraph(200, 1200, 0.2, 0.6, 5)
-	wide := NewWidePackMC(g, 1, 512)
-	min := int64(g.NumNodes()*8*16 + g.NumEdges()*8*16)
-	if got := wide.MemoryBytes(); got < min {
-		t.Fatalf("MemoryBytes %d below word-group floor %d", got, min)
+	min := int64(g.NumNodes()*4*16 + g.NumEdges()*4*16)
+	for _, lanes := range []int{256, 512} {
+		wide := NewWidePackMC(g, 1, lanes)
+		wide.EstimateAll(0, 700)
+		if got := wide.MemoryBytes(); got < min {
+			t.Fatalf("lanes=%d: MemoryBytes %d below word-group floor %d", lanes, got, min)
+		}
 	}
-	par := NewParallelPackMCLanes(g, 1, 4, 256)
+	par := NewParallelPackMC(g, 1, 4)
 	if got := par.MemoryBytes(); got < 4*int64(g.NumNodes()*4*16) {
 		t.Fatalf("parallel MemoryBytes %d too small", got)
 	}
@@ -328,7 +345,7 @@ func TestMemoryBytesWide(t *testing.T) {
 // TestWidePackMCSTLeavesWideScratchUnallocated checks that s-t queries at
 // a wide width run on the 64-lane kernel alone: Estimate, Sampler and
 // Advance allocate none of the wide sweep scratch, answer as PackMC does,
-// and MemoryBytes counts the s-t kernel they built.
+// and MemoryBytes counts the s-t kernel they built and no sweep scratch.
 func TestWidePackMCSTLeavesWideScratchUnallocated(t *testing.T) {
 	g := wideTestGraph(200, 1200, 0.2, 0.6, 5)
 	s, tgt := uncertain.NodeID(0), uncertain.NodeID(g.NumNodes()-1)
@@ -336,6 +353,9 @@ func TestWidePackMCSTLeavesWideScratchUnallocated(t *testing.T) {
 	wide := NewWidePackMC(g, 31, 512)
 	wide.SetDenseThreshold(1) // a sweep would switch to the bitmaps at once
 	before := wide.MemoryBytes()
+	if stamps := int64(g.NumNodes()) * 8; before >= stamps {
+		t.Fatalf("fresh instance reports %d B, at least the sweep stamps' %d", before, stamps)
+	}
 	for _, k := range []int{1, 200, 700} {
 		if got, want := wide.Estimate(s, tgt, k), narrow.Estimate(s, tgt, k); got != want {
 			t.Fatalf("Estimate k=%d: wide %v != narrow %v", k, got, want)
@@ -349,15 +369,15 @@ func TestWidePackMCSTLeavesWideScratchUnallocated(t *testing.T) {
 			t.Fatalf("Advance(%d): wide %+v != narrow %+v", dk, got, want)
 		}
 	}
-	if wide.nodes4 != nil || wide.edges4 != nil || wide.nodes8 != nil || wide.edges8 != nil || wide.frontier != nil {
-		t.Fatalf("s-t queries allocated wide scratch: nodes4 %v edges4 %v nodes8 %v edges8 %v frontier %v",
-			wide.nodes4 != nil, wide.edges4 != nil, wide.nodes8 != nil, wide.edges8 != nil, wide.frontier != nil)
+	if wide.nodes4 != nil || wide.edges4 != nil || wide.frontier != nil {
+		t.Fatalf("s-t queries allocated wide scratch: nodes4 %v edges4 %v frontier %v",
+			wide.nodes4 != nil, wide.edges4 != nil, wide.frontier != nil)
 	}
 	if wide.nstamp != nil || wide.edgeEpoch != nil || wide.qfix != nil {
 		t.Fatalf("s-t queries built sweep state: nstamp %v edgeEpoch %v qfix %v",
 			wide.nstamp != nil, wide.edgeEpoch != nil, wide.qfix != nil)
 	}
-	if grew, min := wide.MemoryBytes()-before, narrow.MemoryBytes(); grew < min {
-		t.Fatalf("MemoryBytes grew %d after s-t queries, want ≥ the s-t kernel's %d", grew, min)
+	if grew, st := wide.MemoryBytes()-before, wide.st.MemoryBytes(); grew != st {
+		t.Fatalf("MemoryBytes grew %d after s-t queries, want exactly the s-t kernel's %d", grew, st)
 	}
 }

@@ -82,9 +82,11 @@ const BoundsName = "bounds"
 
 // DefaultEstimators lists the estimators an engine builds when Config
 // leaves the set empty: the paper's six, in table order, plus the
-// word-packed PackMC at every lane width (64/256/512 — rankable variants
-// for the router) and the multi-core ParallelMC / ParallelPackMC
-// extensions.
+// word-packed PackMC under each of its width names (64/256/512, which
+// return the same values; PackMC sweeps a source 64 lanes at a time, the
+// two wide names 256) and the multi-core ParallelMC / ParallelPackMC
+// extensions. When PackMC is built it is the only pack width the router
+// may pick.
 func DefaultEstimators() []string {
 	return []string{"MC", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS", "PackMC", "PackMC256", "PackMC512", "ParallelMC", "ParallelPackMC"}
 }
