@@ -163,9 +163,7 @@ func benchPackWorkload(b *testing.B, dataset string, hops int, estimator string)
 // (internal/core's BenchmarkWidePackSweep). h=2 is the paper's default
 // workload; h=4 is its distance-sensitivity regime (Figs. 14–15), where
 // estimates ride long paths, per-sample BFS cost grows, and MC's
-// find-the-target early exit rarely fires. bench/BENCH_PR9_kernels.json
-// archives a reference run of this benchmark from before the
-// bidirectional search, when the wide rows timed a forward one.
+// find-the-target early exit rarely fires.
 func BenchmarkPackMC(b *testing.B) {
 	for _, ds := range []string{"lastFM", "NetHept", "AS_Topology", "DBLP_0.2", "DBLP_0.05", "BioMine"} {
 		for _, hops := range []int{2, 4} {
@@ -592,10 +590,10 @@ func benchOverload(b *testing.B, g *Graph, mkQuery func(int64) Query, serviceTim
 const overloadK = 16000
 
 // BenchmarkOverload: {unprotected, admission} × {1x, 4x} offered load.
-// Compare goodput_qps within each pair of rows; bench/BENCH_PR8_overload.json
-// archives a reference run. The service time is calibrated ONCE, up front,
-// so all four rows share one arrival timetable and one SLO — per-row
-// recalibration on a noisy box would make the rows incomparable.
+// Compare goodput_qps within each pair of rows. The service time is
+// calibrated ONCE, up front, so all four rows share one arrival timetable
+// and one SLO — per-row recalibration on a noisy box would make the rows
+// incomparable.
 func BenchmarkOverload(b *testing.B) {
 	g, err := Dataset("lastFM", 1.0, 7)
 	if err != nil {

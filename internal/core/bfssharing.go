@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"relcomp/internal/arena"
 	"relcomp/internal/bitvec"
 	"relcomp/internal/rng"
 	"relcomp/internal/uncertain"
@@ -242,6 +243,10 @@ type BFSQuerier struct {
 	visited  []uncertain.NodeID // nodes marked in inSet by the last run
 	worklist []uncertain.NodeID
 	cascadeQ []uncertain.NodeID
+
+	// scratch holds a source session's per-node hit counts; each session
+	// Resets it, so they live until the querier's next query.
+	scratch arena.Arena
 }
 
 // Index returns the shared offline index this querier reads.
@@ -253,34 +258,39 @@ func (q *BFSQuerier) Width() int { return q.ix.width }
 // Name implements Estimator.
 func (q *BFSQuerier) Name() string { return "BFSSharing" }
 
-// Estimate implements Estimator. k must not exceed the index width; the
-// query uses the first k pre-sampled worlds.
+// Estimate implements Estimator: one Advance(k) of the query's session.
+// k must not exceed the index width; the query uses the first k
+// pre-sampled worlds.
 func (q *BFSQuerier) Estimate(s, t uncertain.NodeID, k int) float64 {
-	ix := q.ix
-	mustValidQuery(ix.g, s, t, k)
-	if k > ix.width {
-		panic(fmt.Sprintf("core: BFSSharing asked for %d samples but index width is %d", k, ix.width))
+	mustValidQuery(q.ix.g, s, t, k)
+	q.checkWidth(k)
+	// The valid prefix grows to k even when s == t needs no traversal, so
+	// later queries redraw the same stale range whichever pair came first.
+	q.ix.ensureValid(k)
+	return estimateOnce(q.Sampler(s, t), k)
+}
+
+// checkWidth panics if a k-sample query exceeds the index width.
+func (q *BFSQuerier) checkWidth(k int) {
+	if k > q.ix.width {
+		panic(fmt.Sprintf("core: BFSSharing asked for %d samples but index width is %d", k, q.ix.width))
 	}
-	ix.ensureValid(k)
-	if s == t {
-		return 1
-	}
-	q.runRange(s, 0, k)
-	return float64(countPrefix(q.nodeBits.Vec(int(t)), k)) / float64(k)
 }
 
 // runRange runs the shared BFS of Algorithm 2 restricted to the
-// pre-sampled worlds [lo, hi): afterwards, bits [lo, hi) of every visited
-// node's vector hold its reachability in those worlds. Each world's bit
-// column evolves independently under the OR-AND updates, so a run over a
-// sub-range computes exactly the restriction of a full run — which is what
-// lets the incremental samplers advance world ranges chunk by chunk and
-// add up counts bit-identically to one full traversal. Bits outside
+// pre-sampled worlds [lo, hi), first extending the index's valid prefix
+// to hi: afterwards, bits [lo, hi) of every visited node's vector hold
+// its reachability in those worlds. Each world's bit column evolves
+// independently under the OR-AND updates, so a run over a sub-range
+// computes exactly the restriction of a full run — which is what lets the
+// incremental samplers advance world ranges chunk by chunk and add up
+// counts bit-identically to one full traversal. Bits outside
 // [lo, hi) inside the covering words are left meaningless (their source
 // bit is never seeded) and must not be read.
 func (q *BFSQuerier) runRange(s uncertain.NodeID, lo, hi int) {
 	ix := q.ix
 	g := ix.g
+	ix.ensureValid(hi)
 	if q.nodeBits == nil {
 		q.nodeBits = bitvec.NewArena(g.NumNodes(), ix.width)
 		q.inSet = make([]bool, g.NumNodes())
@@ -371,80 +381,43 @@ func (q *BFSQuerier) cascadeUpdate(v, u uncertain.NodeID, e uncertain.EdgeID, lo
 
 // Sampler implements IncrementalEstimator. Each Advance runs the shared
 // BFS over the next world range of the pre-sampled index, so Advance(a);
-// Advance(b) accumulates exactly the hit count Estimate(s, t, a+b) counts
-// over worlds [0, a+b). The index width caps the session.
+// Advance(b) accumulates exactly the hit count Advance(a+b) counts over
+// worlds [0, a+b). The index width caps the session.
 func (q *BFSQuerier) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(q.ix.g, s, t, 1)
 	if s == t {
 		return &trivialSampler{estimate: 1}
 	}
-	return &bfsSampler{q: q, s: s, t: t}
+	return &hitSampler{capN: q.ix.width, draw: func(lo, hi int) int {
+		q.runRange(s, lo, hi)
+		return countRange(q.nodeBits.Vec(int(t)), lo, hi)
+	}}
 }
-
-type bfsSampler struct {
-	q       *BFSQuerier
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *bfsSampler) Advance(dk int) {
-	q := x.q
-	checkAdvance(dk, x.n, q.ix.width)
-	if dk == 0 {
-		return
-	}
-	lo, hi := x.n, x.n+dk
-	q.ix.ensureValid(hi)
-	q.runRange(x.s, lo, hi)
-	x.hits += countRange(q.nodeBits.Vec(int(x.t)), lo, hi)
-	x.n = hi
-}
-
-func (x *bfsSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, x.q.ix.width) }
 
 // AllSampler implements SourceSampler: the anytime form of EstimateAll.
 // Each Advance runs one shared traversal over the next world range and
 // accumulates every visited node's hit count, so after n total samples
-// SnapshotOf(t) matches EstimateAll(s, n)[t] bit for bit.
+// SnapshotOf(t) matches EstimateAll(s, n)[t] bit for bit. The counts live
+// in the querier's arena, valid until its next query.
 func (q *BFSQuerier) AllSampler(s uncertain.NodeID) MultiSampler {
 	mustValidQuery(q.ix.g, s, s, 1)
-	return &bfsAllSampler{q: q, s: s, counts: make([]int64, q.ix.g.NumNodes())}
-}
-
-type bfsAllSampler struct {
-	q      *BFSQuerier
-	s      uncertain.NodeID
-	n      int
-	counts []int64
-}
-
-func (a *bfsAllSampler) Advance(dk int) {
-	q := a.q
-	checkAdvance(dk, a.n, q.ix.width)
-	if dk == 0 {
-		return
+	q.scratch.Reset()
+	return &countSampler{
+		s:      s,
+		counts: q.scratch.Int64s(q.ix.g.NumNodes()),
+		capN:   q.ix.width,
+		sweep: func(lo, hi int, counts []int64) {
+			q.runRange(s, lo, hi)
+			// Only the nodes the traversal visited can hold worlds;
+			// scanning the compact visited list keeps a chunk at
+			// O(visited), not O(NumNodes).
+			for _, v := range q.visited {
+				if v != s {
+					counts[v] += int64(countRange(q.nodeBits.Vec(int(v)), lo, hi))
+				}
+			}
+		},
 	}
-	lo, hi := a.n, a.n+dk
-	q.ix.ensureValid(hi)
-	q.runRange(a.s, lo, hi)
-	// Only the nodes the traversal visited can hold worlds; scanning the
-	// compact visited list keeps a chunk at O(visited), not O(NumNodes).
-	for _, v := range q.visited {
-		if v != a.s {
-			a.counts[v] += int64(countRange(q.nodeBits.Vec(int(v)), lo, hi))
-		}
-	}
-	a.n = hi
-}
-
-func (a *bfsAllSampler) N() int   { return a.n }
-func (a *bfsAllSampler) Cap() int { return a.q.ix.width }
-
-func (a *bfsAllSampler) SnapshotOf(t uncertain.NodeID) SampleSnapshot {
-	if t == a.s {
-		return SampleSnapshot{Estimate: 1, N: a.n, Cap: a.q.ix.width}
-	}
-	return binomialSnapshot(int(a.counts[t]), a.n, a.q.ix.width)
 }
 
 var (
@@ -487,8 +460,8 @@ func countPrefix(v bitvec.Vector, k int) int {
 func (q *BFSQuerier) IndexBytes() int64 { return q.ix.Bytes() }
 
 // ScratchBytes returns the size of this handle's online state alone: node
-// vectors, visited set, and BFS worklists. This is the marginal memory of
-// one more querier over a shared index.
+// vectors, visited set, BFS worklists, and the source sessions' counts.
+// This is the marginal memory of one more querier over a shared index.
 func (q *BFSQuerier) ScratchBytes() int64 {
 	var m int64
 	if q.nodeBits != nil {
@@ -496,7 +469,7 @@ func (q *BFSQuerier) ScratchBytes() int64 {
 		m += int64(len(q.inSet))
 	}
 	m += int64(cap(q.worklist)+cap(q.cascadeQ)+cap(q.visited)) * 4
-	return m
+	return m + q.scratch.MemoryBytes()
 }
 
 // MemoryBytes implements MemoryReporter: the loaded index plus the online

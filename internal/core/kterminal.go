@@ -59,17 +59,11 @@ func (kt *KTerminal) Reseed(seed uint64) { kt.rng.Seed(seed) }
 func (kt *KTerminal) Targets() []uncertain.NodeID { return kt.targets }
 
 // Estimate returns the probability that all targets are reachable from s,
-// from k Monte Carlo samples. The per-sample BFS terminates early once
-// every target has been found.
+// from k Monte Carlo samples: one Advance(k) of Sampler(s). The
+// per-sample BFS terminates early once every target has been found.
 func (kt *KTerminal) Estimate(s uncertain.NodeID, k int) float64 {
 	mustValidQuery(kt.g, s, s, k)
-	hits := 0
-	for i := 0; i < k; i++ {
-		if kt.sampleOnce(s) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
+	return estimateOnce(kt.Sampler(s), k)
 }
 
 func (kt *KTerminal) sampleOnce(s uncertain.NodeID) bool {
@@ -114,30 +108,14 @@ func (kt *KTerminal) sampleOnce(s uncertain.NodeID) bool {
 // Sampler opens an incremental estimation session for the probability that
 // every target is reachable from s — KTerminal's analogue of the s-t
 // Sampler contract. The per-sample BFS consumes the random stream
-// sequentially, exactly like Estimate's loop, so Advance(a); Advance(b)
-// accumulates the hit count Estimate(s, a+b) would.
+// sequentially, so Advance(a); Advance(b) accumulates the hit count
+// Advance(a+b) would.
 func (kt *KTerminal) Sampler(s uncertain.NodeID) Sampler {
 	mustValidQuery(kt.g, s, s, 1)
-	return &kterminalSampler{kt: kt, s: s}
+	return &hitSampler{draw: func(lo, hi int) int {
+		return drawEach(hi-lo, func() bool { return kt.sampleOnce(s) })
+	}}
 }
-
-type kterminalSampler struct {
-	kt      *KTerminal
-	s       uncertain.NodeID
-	n, hits int
-}
-
-func (x *kterminalSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	for i := 0; i < dk; i++ {
-		if x.kt.sampleOnce(x.s) {
-			x.hits++
-		}
-	}
-	x.n += dk
-}
-
-func (x *kterminalSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 // MemoryBytes implements MemoryReporter.
 func (kt *KTerminal) MemoryBytes() int64 {

@@ -81,29 +81,16 @@ func (l *LazyProp) Corrected() bool { return l.corrected }
 // Reseed implements Seeder.
 func (l *LazyProp) Reseed(seed uint64) { l.rng.Seed(seed) }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator: one Advance(k) of the query's session.
+// Node heaps and counters persist across the k samples of one call (that
+// is the whole point of the scheme) but are fresh between calls.
 func (l *LazyProp) Estimate(s, t uncertain.NodeID, k int) float64 {
 	mustValidQuery(l.g, s, t, k)
-	if s == t {
-		return 1
-	}
-	// Node heaps and counters persist across the k samples of one call
-	// (that is the whole point of the scheme) but must be fresh between
-	// calls.
-	l.resetSchedule()
-
-	hits := 0
-	for i := 0; i < k; i++ {
-		if l.sampleOnce(s, t) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
+	return estimateOnce(l.Sampler(s, t), k)
 }
 
 // resetSchedule clears the persistent per-node schedules of the previous
-// query, shared by Estimate's prologue and Sampler's open so the two
-// entry points start sessions from provably identical state.
+// query when a session opens.
 func (l *LazyProp) resetSchedule() {
 	for _, v := range l.touched {
 		l.init[v] = false
@@ -200,37 +187,20 @@ func (l *LazyProp) initNode(v uncertain.NodeID) {
 }
 
 // Sampler implements IncrementalEstimator. A session resets the persistent
-// schedule once at open — exactly what Estimate does between calls — and
-// each Advance continues drawing samples against the live heaps, so
-// chunked advancement is bit-identical to one Estimate call with the
-// summed budget (the schedule persisting across the samples of a call is
-// the whole point of lazy propagation).
+// schedule once at open and each Advance continues drawing samples against
+// the live heaps, so chunked advancement is bit-identical to one Advance
+// with the summed budget (the schedule persisting across the samples of a
+// session is the whole point of lazy propagation).
 func (l *LazyProp) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(l.g, s, t, 1)
 	if s == t {
 		return &trivialSampler{estimate: 1}
 	}
 	l.resetSchedule()
-	return &lpSampler{l: l, s: s, t: t}
+	return &hitSampler{draw: func(lo, hi int) int {
+		return drawEach(hi-lo, func() bool { return l.sampleOnce(s, t) })
+	}}
 }
-
-type lpSampler struct {
-	l       *LazyProp
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *lpSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	for i := 0; i < dk; i++ {
-		if x.l.sampleOnce(x.s, x.t) {
-			x.hits++
-		}
-	}
-	x.n += dk
-}
-
-func (x *lpSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 var _ IncrementalEstimator = (*LazyProp)(nil)
 

@@ -36,19 +36,10 @@ func (mc *MC) Name() string { return "MC" }
 // Reseed implements Seeder.
 func (mc *MC) Reseed(seed uint64) { mc.rng.Seed(seed) }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator: one Advance(k) of the query's session.
 func (mc *MC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	mustValidQuery(mc.g, s, t, k)
-	if s == t {
-		return 1
-	}
-	hits := 0
-	for i := 0; i < k; i++ {
-		if mc.sampleOnce(s, t) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
+	return estimateOnce(mc.Sampler(s, t), k)
 }
 
 // sampleOnce draws one possible world lazily and reports whether t is
@@ -85,33 +76,16 @@ func (mc *MC) sampleOnce(s, t uncertain.NodeID) bool {
 
 // Sampler implements IncrementalEstimator: MC's sample stream is
 // sequential, so a session advanced in chunks accumulates exactly the hit
-// count one Estimate call with the summed budget would — Advance(a);
-// Advance(b) is bit-identical to Estimate(s, t, a+b).
+// count one Advance with the summed budget would.
 func (mc *MC) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(mc.g, s, t, 1)
 	if s == t {
 		return &trivialSampler{estimate: 1}
 	}
-	return &mcSampler{mc: mc, s: s, t: t}
+	return &hitSampler{draw: func(lo, hi int) int {
+		return drawEach(hi-lo, func() bool { return mc.sampleOnce(s, t) })
+	}}
 }
-
-type mcSampler struct {
-	mc      *MC
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *mcSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	for i := 0; i < dk; i++ {
-		if x.mc.sampleOnce(x.s, x.t) {
-			x.hits++
-		}
-	}
-	x.n += dk
-}
-
-func (x *mcSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 // MemoryBytes implements MemoryReporter: MC keeps only the visited set and
 // the BFS queue beyond the shared graph.

@@ -180,50 +180,21 @@ func activeLanes(j, k int) uint64 {
 
 // laneMask returns the mask of pack j's lanes that fall in the global
 // world-index range [lo, hi). World w lives at lane w-64j of pack w/64.
-func laneMask(j, lo, hi int) uint64 {
-	top := hi - j*64
-	if top > 64 {
-		top = 64
-	}
-	bot := lo - j*64
-	if bot < 0 {
-		bot = 0
-	}
-	if top <= bot {
-		return 0
-	}
-	return bitvec.LowBits(top) &^ bitvec.LowBits(bot)
-}
+func laneMask(j, lo, hi int) uint64 { return activeLanes(j, hi) &^ activeLanes(j, lo) }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator: one Advance(k) of the query's session.
 func (pm *PackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	mustValidQuery(pm.g, s, t, k)
-	if s == t {
-		return 1
-	}
-	pm.round++
-	hits := pm.sampleRange(mix(pm.seed, pm.round, 0), s, t, k, 0, numPacks(k))
-	return float64(hits) / float64(k)
-}
-
-// sampleRange runs packs [lo, hi) of a k-sample budget from the given
-// stream base and returns in how many of their worlds t was reached. The
-// result depends only on (base, s, t, k, lo, hi) — ParallelPackMC uses
-// this to shard the packs of one budget across goroutines without
-// changing the estimate.
-func (pm *PackMC) sampleRange(base uint64, s, t uncertain.NodeID, k, lo, hi int) int {
-	hits := 0
-	for j := lo; j < hi; j++ {
-		hits += bits.OnesCount64(pm.runPack(base, uint64(j), s, t, activeLanes(j, k)))
-	}
-	return hits
+	return estimateOnce(pm.Sampler(s, t), k)
 }
 
 // sampleLanes runs the worlds of the global lane range [lo, hi) from the
 // given stream base and returns in how many t was reached. Because every
 // lane's outcome is a pure function of (base, pack, lane), hit counts are
 // additive over any partition of the lane range — the property that makes
-// chunked advancement bit-identical to a one-shot run over [0, k).
+// chunked advancement bit-identical to a one-shot run over [0, k), and
+// lets ParallelPackMC shard one range across goroutines without changing
+// the estimate.
 func (pm *PackMC) sampleLanes(base uint64, s, t uncertain.NodeID, lo, hi int) int {
 	hits := 0
 	for j := lo >> 6; j*64 < hi; j++ {
@@ -235,32 +206,25 @@ func (pm *PackMC) sampleLanes(base uint64, s, t uncertain.NodeID, lo, hi int) in
 // EstimateAll draws the same k worlds one Estimate call would and returns
 // the per-world hit fraction of every node from s in them: one pack sweep
 // answers every target at once, which is what the batch engine's
-// source-grouped path amortizes. Because the mask streams are
-// counter-based, EstimateAll(s, k)[t] is bit-identical to what
-// Estimate(s, t, k) would return from the same (seed, round) state.
-// Unvisited nodes report 0 and s reports 1. Implements SourceEstimator.
+// source-grouped path amortizes. It is one Advance(k) of AllSampler(s),
+// and because the mask streams are counter-based, EstimateAll(s, k)[t] is
+// bit-identical to what Estimate(s, t, k) would return from the same
+// (seed, round) state. Unvisited nodes report 0 and s reports 1.
+// Implements SourceEstimator.
 func (pm *PackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
-	g := pm.g
-	mustValidQuery(g, s, s, k)
-	pm.round++
-	pm.scratch.Reset()
-	base := mix(pm.seed, pm.round, 0)
-	counts := pm.scratch.Int64s(g.NumNodes())
-	for j := 0; j < numPacks(k); j++ {
-		pm.sweepPack(base, uint64(j), s, activeLanes(j, k))
+	mustValidQuery(pm.g, s, s, k)
+	return estimateAll(pm.AllSampler(s), k)
+}
+
+// accumulateAll sweeps the lane range [lo, hi) pack by pack and adds
+// every touched node's per-world hit count into counts.
+func (pm *PackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int, counts []int64) {
+	for j := lo >> 6; j*64 < hi; j++ {
+		pm.sweepPack(base, uint64(j), s, laneMask(j, lo, hi))
 		for _, v := range pm.touched {
 			counts[v] += int64(bits.OnesCount64(pm.fwd.nodes[v].mask))
 		}
 	}
-	out := make([]float64, g.NumNodes())
-	for v := range out {
-		if uncertain.NodeID(v) == s {
-			out[v] = 1
-		} else if counts[v] > 0 {
-			out[v] = float64(counts[v]) / float64(k)
-		}
-	}
-	return out
 }
 
 // nextPack invalidates all per-pack scratch in O(1); the wrap-around clear
@@ -490,36 +454,18 @@ func packScratchBytes(n, m int) int64 {
 }
 
 // Sampler implements IncrementalEstimator. The session fixes its stream
-// base at open (consuming one round, exactly like an Estimate call) and
-// each Advance runs the next global lane range; because lane outcomes are
-// counter-based pure functions, Advance(a); Advance(b) is bit-identical to
-// Estimate(s, t, a+b) from the same (seed, round) state.
+// base at open (consuming one round) and each Advance runs the next global
+// lane range; because lane outcomes are counter-based pure functions,
+// Advance(a); Advance(b) is bit-identical to Advance(a+b).
 func (pm *PackMC) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(pm.g, s, t, 1)
 	if s == t {
 		return &trivialSampler{estimate: 1}
 	}
 	pm.round++
-	return &packSampler{pm: pm, base: mix(pm.seed, pm.round, 0), s: s, t: t}
+	base := mix(pm.seed, pm.round, 0)
+	return &hitSampler{draw: func(lo, hi int) int { return pm.sampleLanes(base, s, t, lo, hi) }}
 }
-
-type packSampler struct {
-	pm      *PackMC
-	base    uint64
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *packSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	if dk == 0 {
-		return
-	}
-	x.hits += x.pm.sampleLanes(x.base, x.s, x.t, x.n, x.n+dk)
-	x.n += dk
-}
-
-func (x *packSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 // AllSampler implements SourceSampler: the anytime form of EstimateAll.
 // Each Advance extends the shared pack sweep by the next lane range and
@@ -533,45 +479,12 @@ func (pm *PackMC) AllSampler(s uncertain.NodeID) MultiSampler {
 	mustValidQuery(pm.g, s, s, 1)
 	pm.round++
 	pm.scratch.Reset()
-	return &packAllSampler{
-		pm:     pm,
-		base:   mix(pm.seed, pm.round, 0),
+	base := mix(pm.seed, pm.round, 0)
+	return &countSampler{
 		s:      s,
 		counts: pm.scratch.Int64s(pm.g.NumNodes()),
+		sweep:  func(lo, hi int, counts []int64) { pm.accumulateAll(base, s, lo, hi, counts) },
 	}
-}
-
-type packAllSampler struct {
-	pm     *PackMC
-	base   uint64
-	s      uncertain.NodeID
-	n      int
-	counts arena.Int64s
-}
-
-func (a *packAllSampler) Advance(dk int) {
-	checkAdvance(dk, a.n, 0)
-	if dk == 0 {
-		return
-	}
-	lo, hi := a.n, a.n+dk
-	for j := lo >> 6; j*64 < hi; j++ {
-		a.pm.sweepPack(a.base, uint64(j), a.s, laneMask(j, lo, hi))
-		for _, v := range a.pm.touched {
-			a.counts[v] += int64(bits.OnesCount64(a.pm.fwd.nodes[v].mask))
-		}
-	}
-	a.n = hi
-}
-
-func (a *packAllSampler) N() int   { return a.n }
-func (a *packAllSampler) Cap() int { return 0 }
-
-func (a *packAllSampler) SnapshotOf(t uncertain.NodeID) SampleSnapshot {
-	if t == a.s {
-		return SampleSnapshot{Estimate: 1, N: a.n}
-	}
-	return binomialSnapshot(int(a.counts[t]), a.n, 0)
 }
 
 var (
@@ -618,48 +531,10 @@ func (p *ParallelPackMC) Reseed(seed uint64) {
 	p.round = 0
 }
 
-// Estimate implements Estimator: packs [0, numPacks(k)) are split into
-// contiguous ranges, one per worker, and the per-range hit counts are
-// accumulated worker-locally and combined over a channel (never through a
-// shared slice, which would false-share cache lines between workers).
+// Estimate implements Estimator: one Advance(k) of the query's session.
 func (p *ParallelPackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	mustValidQuery(p.g, s, t, k)
-	if s == t {
-		return 1
-	}
-	p.round++
-	base := mix(p.seed, p.round, 0)
-	packs := numPacks(k)
-	workers := p.workers
-	if workers > packs {
-		workers = packs
-	}
-	if workers <= 1 {
-		pm := p.pool.Get().(*PackMC)
-		hits := pm.sampleRange(base, s, t, k, 0, packs)
-		p.pool.Put(pm)
-		return float64(hits) / float64(k)
-	}
-	results := make(chan int, workers)
-	lo := 0
-	for w := 0; w < workers; w++ {
-		share := packs / workers
-		if w < packs%workers {
-			share++
-		}
-		go func(lo, hi int) {
-			pm := p.pool.Get().(*PackMC)
-			hits := pm.sampleRange(base, s, t, k, lo, hi)
-			p.pool.Put(pm)
-			results <- hits
-		}(lo, lo+share)
-		lo += share
-	}
-	total := 0
-	for w := 0; w < workers; w++ {
-		total += <-results
-	}
-	return float64(total) / float64(k)
+	return estimateOnce(p.Sampler(s, t), k)
 }
 
 // MemoryBytes implements MemoryReporter: one worker kernel's scratch per
@@ -673,32 +548,23 @@ func (p *ParallelPackMC) MemoryBytes() int64 {
 // Sampler implements IncrementalEstimator. Each Advance shards the next
 // global lane range's packs over the workers; because the lane outcomes
 // are counter-based, the session is bit-identical to a sequential PackMC
-// session — and therefore to one-shot Estimate at the summed budget — for
-// any worker count and any chunking.
+// session for any worker count and any chunking.
 func (p *ParallelPackMC) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(p.g, s, t, 1)
 	if s == t {
 		return &trivialSampler{estimate: 1}
 	}
 	p.round++
-	return &parallelPackSampler{p: p, base: mix(p.seed, p.round, 0), s: s, t: t}
+	base := mix(p.seed, p.round, 0)
+	return &hitSampler{draw: func(lo, hi int) int { return p.shardLanes(base, s, t, lo, hi) }}
 }
 
-type parallelPackSampler struct {
-	p       *ParallelPackMC
-	base    uint64
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *parallelPackSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	if dk == 0 {
-		return
-	}
-	lo, hi := x.n, x.n+dk
-	x.n = hi
-	p := x.p
+// shardLanes runs the lane range [lo, hi) with its packs split into
+// contiguous ranges, one per worker, and returns the hit count. Per-range
+// counts are accumulated worker-locally and combined over a channel
+// (never through a shared slice, which would false-share cache lines
+// between workers).
+func (p *ParallelPackMC) shardLanes(base uint64, s, t uncertain.NodeID, lo, hi int) int {
 	loPack, hiPack := lo>>6, (hi+63)>>6
 	packs := hiPack - loPack
 	workers := p.workers
@@ -707,10 +573,9 @@ func (x *parallelPackSampler) Advance(dk int) {
 	}
 	if workers <= 1 {
 		pm := p.pool.Get().(*PackMC)
-		hits := pm.sampleLanes(x.base, x.s, x.t, lo, hi)
+		hits := pm.sampleLanes(base, s, t, lo, hi)
 		p.pool.Put(pm)
-		x.hits += hits
-		return
+		return hits
 	}
 	results := make(chan int, workers)
 	start := loPack
@@ -720,26 +585,19 @@ func (x *parallelPackSampler) Advance(dk int) {
 			share++
 		}
 		go func(a, b int) { // pack range [a, b), clipped to the lane range
-			la, lb := a*64, b*64
-			if la < lo {
-				la = lo
-			}
-			if lb > hi {
-				lb = hi
-			}
 			pm := p.pool.Get().(*PackMC)
-			hits := pm.sampleLanes(x.base, x.s, x.t, la, lb)
+			hits := pm.sampleLanes(base, s, t, max(a*64, lo), min(b*64, hi))
 			p.pool.Put(pm)
 			results <- hits
 		}(start, start+share)
 		start += share
 	}
+	hits := 0
 	for w := 0; w < workers; w++ {
-		x.hits += <-results
+		hits += <-results
 	}
+	return hits
 }
-
-func (x *parallelPackSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 var (
 	_ IncrementalEstimator = (*ParallelPackMC)(nil)

@@ -46,23 +46,20 @@ func (p *ParallelMC) Reseed(seed uint64) {
 	p.epoch = 0
 }
 
-// Estimate implements Estimator: it shards k samples over the workers and
-// averages the per-shard hit counts. Each worker accumulates its count
-// locally and hands it back over a channel — workers writing adjacent
-// elements of a shared slice would false-share cache lines and serialize
-// on coherence traffic exactly in the loop this type exists to speed up.
+// Estimate implements Estimator: one Advance(k) of the query's session,
+// which shards the k samples over the workers and sums the per-shard hit
+// counts.
 func (p *ParallelMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	mustValidQuery(p.g, s, t, k)
-	if s == t {
-		return 1
-	}
-	p.epoch++
-	return float64(p.shardHits(s, t, p.epoch, k)) / float64(k)
+	return estimateOnce(p.Sampler(s, t), k)
 }
 
 // shardHits draws `total` samples sharded over the workers of epoch
-// `epoch` and returns the hit count — Estimate's fan-out, reused by the
-// incremental sampler.
+// `epoch` and returns the hit count: one Advance of a session. Each worker
+// accumulates its count locally and hands it back over a channel —
+// workers writing adjacent elements of a shared slice would false-share
+// cache lines and serialize on coherence traffic exactly in the loop this
+// type exists to speed up.
 func (p *ParallelMC) shardHits(s, t uncertain.NodeID, epoch uint64, total int) int {
 	workers := p.workers
 	if workers > total {
@@ -78,12 +75,7 @@ func (p *ParallelMC) shardHits(s, t uncertain.NodeID, epoch uint64, total int) i
 			mc := p.pool.Get().(*MC)
 			// Derive an independent stream per (epoch, worker).
 			mc.Reseed(mix(p.seed, epoch, uint64(w)))
-			n := 0
-			for i := 0; i < share; i++ {
-				if mc.sampleOnce(s, t) {
-					n++
-				}
-			}
+			n := drawEach(share, func() bool { return mc.sampleOnce(s, t) })
 			p.pool.Put(mc)
 			results <- n
 		}(w, share)
@@ -96,36 +88,20 @@ func (p *ParallelMC) shardHits(s, t uncertain.NodeID, epoch uint64, total int) i
 }
 
 // Sampler implements IncrementalEstimator. Each Advance is one sharded
-// draw under a fresh epoch, so a session advanced once by k is
-// bit-identical to Estimate(s, t, k); chunked advancement accumulates
-// statistically identical (but not bit-identical) hits, because
-// ParallelMC's sample sharding — like its worker count — shapes the
-// per-worker streams.
+// draw under a fresh epoch; chunked advancement accumulates statistically
+// identical (but not bit-identical) hits to one Advance with the summed
+// budget, because ParallelMC's sample sharding — like its worker count —
+// shapes the per-worker streams.
 func (p *ParallelMC) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(p.g, s, t, 1)
 	if s == t {
 		return &trivialSampler{estimate: 1}
 	}
-	return &parallelMCSampler{p: p, s: s, t: t}
+	return &hitSampler{draw: func(lo, hi int) int {
+		p.epoch++
+		return p.shardHits(s, t, p.epoch, hi-lo)
+	}}
 }
-
-type parallelMCSampler struct {
-	p       *ParallelMC
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *parallelMCSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	if dk == 0 {
-		return
-	}
-	x.p.epoch++
-	x.hits += x.p.shardHits(x.s, x.t, x.p.epoch, dk)
-	x.n += dk
-}
-
-func (x *parallelMCSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 // mix combines the seed, query epoch, and worker id into one stream seed
 // (splitmix64 finalizer).

@@ -27,42 +27,13 @@ type SourceEstimator interface {
 
 // EstimateAll runs the shared BFS once and returns the reliability of
 // every node from the source s, which is what one BFS Sharing traversal
-// actually computes (the s-t query of Algorithm 2 just reads one entry).
-// The returned slice has one value per node; unvisited nodes have 0.
+// actually computes (the s-t query of Algorithm 2 just reads one entry):
+// one Advance(k) of the querier's source session. The returned slice has
+// one value per node; unvisited nodes have 0.
 func (q *BFSQuerier) EstimateAll(s uncertain.NodeID, k int) []float64 {
-	// Reuse Estimate's traversal by querying any target; the node vectors
-	// left behind cover every reached node.
-	g := q.ix.g
-	mustValidQuery(g, s, s, k)
-	if k > q.ix.width {
-		panic(fmt.Sprintf("core: BFSSharing asked for %d samples but index width is %d", k, q.ix.width))
-	}
-	// Run the traversal with t = s (never early-terminates BFS Sharing
-	// anyway — the method has no early termination).
-	q.Estimate(s, wrapTarget(s, g.NumNodes()), k)
-	out := make([]float64, g.NumNodes())
-	for v := range out {
-		if uncertain.NodeID(v) == s {
-			out[v] = 1
-			continue
-		}
-		if q.inSet[v] {
-			out[v] = float64(countPrefix(q.nodeBits.Vec(v), k)) / float64(k)
-		}
-	}
-	return out
-}
-
-// wrapTarget picks a target distinct from s so Estimate's validation
-// passes (single-node graphs keep s, where R = 1 trivially).
-func wrapTarget(s uncertain.NodeID, n int) uncertain.NodeID {
-	if n <= 1 {
-		return s
-	}
-	if s == 0 {
-		return 1
-	}
-	return 0
+	mustValidQuery(q.ix.g, s, s, k)
+	q.checkWidth(k)
+	return estimateAll(q.AllSampler(s), k)
 }
 
 // Reliability pairs a node with its estimated reliability from a source.
@@ -154,20 +125,10 @@ func (dc *DistanceConstrainedMC) Reseed(seed uint64) { dc.mc.Reseed(seed) }
 // Bound returns the hop bound d.
 func (dc *DistanceConstrainedMC) Bound() int { return dc.d }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator: one Advance(k) of the query's session.
 func (dc *DistanceConstrainedMC) Estimate(s, t uncertain.NodeID, k int) float64 {
-	mc := dc.mc
-	mustValidQuery(mc.g, s, t, k)
-	if s == t {
-		return 1
-	}
-	hits := 0
-	for i := 0; i < k; i++ {
-		if dc.sampleOnce(s, t) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
+	mustValidQuery(dc.mc.g, s, t, k)
+	return estimateOnce(dc.Sampler(s, t), k)
 }
 
 // sampleOnce is MC's lazy BFS with a hop budget.
@@ -212,32 +173,16 @@ func (dc *DistanceConstrainedMC) MemoryBytes() int64 {
 }
 
 // Sampler implements IncrementalEstimator. The per-sample BFS consumes the
-// random stream sequentially, exactly like Estimate's loop, so Advance(a);
-// Advance(b) accumulates the hit count Estimate(s, t, a+b) would.
+// random stream sequentially, so Advance(a); Advance(b) accumulates the
+// hit count Advance(a+b) would.
 func (dc *DistanceConstrainedMC) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(dc.mc.g, s, t, 1)
 	if s == t {
 		return &trivialSampler{estimate: 1}
 	}
-	return &distanceSampler{dc: dc, s: s, t: t}
+	return &hitSampler{draw: func(lo, hi int) int {
+		return drawEach(hi-lo, func() bool { return dc.sampleOnce(s, t) })
+	}}
 }
-
-type distanceSampler struct {
-	dc      *DistanceConstrainedMC
-	s, t    uncertain.NodeID
-	n, hits int
-}
-
-func (x *distanceSampler) Advance(dk int) {
-	checkAdvance(dk, x.n, 0)
-	for i := 0; i < dk; i++ {
-		if x.dc.sampleOnce(x.s, x.t) {
-			x.hits++
-		}
-	}
-	x.n += dk
-}
-
-func (x *distanceSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, 0) }
 
 var _ IncrementalEstimator = (*DistanceConstrainedMC)(nil)

@@ -16,16 +16,21 @@ import (
 // sampler in growing chunks until an accuracy target, the paper's
 // dispersion criterion, a deadline, or the sample budget ends the run.
 //
-// The sampling estimators advance bit-identically to their one-shot
-// Estimate: Advance(a); Advance(b) accumulates exactly the state
-// Estimate(s, t, a+b) would compute, because their sample streams are
-// either sequential (MC, LP+) or counter-based per world (PackMC, BFS
-// Sharing's pre-sampled index). The recursive estimators (RHH, RSS)
-// cannot accumulate — their per-sample allocation depends on the total
-// budget — so they satisfy the contract through a restart adapter that
-// re-runs the full estimate at each grown budget; driven by
-// AdaptiveEstimate's geometric chunk schedule, the total restart work
-// stays within a constant factor of the final budget.
+// For every sampling estimator the fixed-K Estimate is one Advance(k) of
+// the estimator's own session, and its EstimateAll one Advance(k) of its
+// source session, so whatever K a stopping rule picks is the fixed-K
+// computation by construction. Chunked runs must equal it: Advance(a);
+// Advance(b) accumulates exactly the state Advance(a+b) does, because the
+// sample streams are either sequential (MC, LP+) or counter-based per
+// world (PackMC, BFS Sharing's pre-sampled index). Those sessions are the
+// two shared types below: hitSampler counts the worlds that reach t, and
+// countSampler counts, per node, the worlds that reach it from a source.
+// The recursive estimators (RHH, RSS) cannot accumulate — their
+// per-sample allocation depends on the total budget — so they satisfy the
+// contract through a restart adapter that re-runs the full estimate at
+// each grown budget; driven by AdaptiveEstimate's geometric chunk
+// schedule, the total restart work stays within a constant factor of the
+// final budget.
 
 // SampleSnapshot is the running state of a Sampler.
 type SampleSnapshot struct {
@@ -64,8 +69,9 @@ type Sampler interface {
 
 // IncrementalEstimator is implemented by estimators that can open an
 // incremental sampling session. Every estimator in the package satisfies
-// it: the sampling methods advance natively and bit-identically to their
-// one-shot Estimate; RHH and RSS adapt via restart-doubling.
+// it: a sampling method's Estimate(s, t, k) is one Advance(k) of the
+// session its Sampler opens, and chunked Advances must equal it; RHH and
+// RSS adapt via restart-doubling.
 type IncrementalEstimator interface {
 	Estimator
 	Sampler(s, t uncertain.NodeID) Sampler
@@ -73,8 +79,10 @@ type IncrementalEstimator interface {
 
 // NewSampler opens an incremental session for (s, t) on est: the
 // estimator's native sampler when it implements IncrementalEstimator, a
-// restart-doubling adapter otherwise. A fresh session advanced once by k
-// returns exactly what est.Estimate(s, t, k) would from the same state.
+// restart-doubling adapter otherwise. Estimate(s, t, k) is one Advance(k)
+// of this session — for the sampling estimators by construction, for the
+// restart adapter because its first Advance is one Estimate call — and
+// chunked Advances must equal it.
 func NewSampler(est Estimator, s, t uncertain.NodeID) Sampler {
 	if ie, ok := est.(IncrementalEstimator); ok {
 		return ie.Sampler(s, t)
@@ -107,8 +115,8 @@ func binomialSnapshot(hits, n, capN int) SampleSnapshot {
 
 // estimateSnapshot is binomialSnapshot for samplers that track a running
 // estimate rather than a hit count (the restart adapter).
-func estimateSnapshot(estimate float64, n, capN int) SampleSnapshot {
-	snap := binomialSnapshot(int(estimate*float64(n)+0.5), n, capN)
+func estimateSnapshot(estimate float64, n int) SampleSnapshot {
+	snap := binomialSnapshot(int(estimate*float64(n)+0.5), n, 0)
 	snap.Estimate = estimate // keep the exact value, not the rounded ratio
 	return snap
 }
@@ -141,6 +149,94 @@ func checkAdvance(dk, n, capN int) {
 	}
 }
 
+// hitSampler is the session of every sampling estimator whose answer is a
+// hit fraction. draw(lo, hi) runs worlds [lo, hi) of the session's stream
+// and returns in how many t was reached: the sequential-stream estimators
+// draw the next hi-lo samples, the counter-based ones the worlds named.
+// capN bounds the worlds the stream holds (0 = unbounded).
+type hitSampler struct {
+	draw    func(lo, hi int) int
+	capN    int
+	n, hits int
+}
+
+func (x *hitSampler) Advance(dk int) {
+	checkAdvance(dk, x.n, x.capN)
+	if dk == 0 {
+		return
+	}
+	x.hits += x.draw(x.n, x.n+dk)
+	x.n += dk
+}
+
+func (x *hitSampler) Snapshot() SampleSnapshot { return binomialSnapshot(x.hits, x.n, x.capN) }
+
+// drawEach returns in how many of n sequential draws once reports a hit:
+// the draw of the estimators whose stream is one sample after another.
+func drawEach(n int, once func() bool) int {
+	hits := 0
+	for i := 0; i < n; i++ {
+		if once() {
+			hits++
+		}
+	}
+	return hits
+}
+
+// estimateOnce is the fixed-k answer of a session: one Advance(k).
+func estimateOnce(sp Sampler, k int) float64 {
+	sp.Advance(k)
+	return sp.Snapshot().Estimate
+}
+
+// countSampler is the source session of the estimators whose one
+// traversal answers every target (PackMC's sweeps, BFS Sharing's shared
+// BFS). sweep(lo, hi, counts) runs worlds [lo, hi) from s and adds to
+// counts[v] in how many of them v was reached; counts is scratch the
+// estimator owns, valid until its next query. capN is as in hitSampler.
+type countSampler struct {
+	s      uncertain.NodeID
+	sweep  func(lo, hi int, counts []int64)
+	counts []int64
+	capN   int
+	n      int
+}
+
+func (c *countSampler) Advance(dk int) {
+	checkAdvance(dk, c.n, c.capN)
+	if dk == 0 {
+		return
+	}
+	c.sweep(c.n, c.n+dk, c.counts)
+	c.n += dk
+}
+
+func (c *countSampler) N() int   { return c.n }
+func (c *countSampler) Cap() int { return c.capN }
+
+func (c *countSampler) SnapshotOf(t uncertain.NodeID) SampleSnapshot {
+	if t == c.s {
+		return SampleSnapshot{Estimate: 1, N: c.n, Cap: c.capN}
+	}
+	return binomialSnapshot(int(c.counts[t]), c.n, c.capN)
+}
+
+// estimateAll is the fixed-k answer of a source session: one Advance(k),
+// then every node's estimate — SnapshotOf(v).Estimate for each v, without
+// the per-node interval arithmetic. Unreached nodes report 0, the source 1.
+func estimateAll(ms MultiSampler, k int) []float64 {
+	c := ms.(*countSampler)
+	c.Advance(k)
+	out := make([]float64, len(c.counts))
+	for v, h := range c.counts {
+		if h > 0 {
+			out[v] = float64(h) / float64(c.n)
+		}
+	}
+	out[c.s] = 1
+	return out
+}
+
 // restartSampler adapts a fixed-K estimator to the Sampler contract by
 // re-running the full estimate at each accumulated budget. The underlying
 // random stream advances naturally across restarts, so successive runs are
@@ -153,20 +249,14 @@ type restartSampler struct {
 	s, t     uncertain.NodeID
 	n        int
 	estimate float64
-	capN     int
 }
 
 func newRestartSampler(est Estimator, s, t uncertain.NodeID) Sampler {
 	return &restartSampler{est: est, s: s, t: t}
 }
 
-// newRestartSamplerCap is newRestartSampler with a total-sample cap.
-func newRestartSamplerCap(est Estimator, s, t uncertain.NodeID, capN int) Sampler {
-	return &restartSampler{est: est, s: s, t: t, capN: capN}
-}
-
 func (r *restartSampler) Advance(dk int) {
-	checkAdvance(dk, r.n, r.capN)
+	checkAdvance(dk, r.n, 0)
 	if dk == 0 {
 		return
 	}
@@ -175,7 +265,7 @@ func (r *restartSampler) Advance(dk int) {
 }
 
 func (r *restartSampler) Snapshot() SampleSnapshot {
-	return estimateSnapshot(r.estimate, r.n, r.capN)
+	return estimateSnapshot(r.estimate, r.n)
 }
 
 // StopReason reports which rule terminated an adaptive estimate.

@@ -133,7 +133,7 @@ func (pm *PackMC) twoPhase(s, t uncertain.NodeID, k int) (float64, twoPhaseRun) 
 	phase1, work := planSize(met, open, n, rest, numPacks(twoPhaseMult*k), p, shallow, deep)
 	if work > twoPhaseGain*float64(rest)*plain {
 		hits += bits.OnesCount64(pm.runPack(base, 0, s, t, ^pilot))
-		hits += pm.sampleRange(base, s, t, k, 1, packs)
+		hits += pm.sampleLanes(base, s, t, 64, k)
 		return float64(hits) / float64(k), twoPhaseRun{FellBack: true}
 	}
 	run := twoPhaseRun{Worlds: 64 * phase1}

@@ -68,8 +68,8 @@ type WidePackMC struct {
 	lanes int // 256 or 512: the width the estimator is named for
 
 	// st is the 64-lane kernel that answers s-t queries, built on the
-	// first one; only its sampleRange/sampleLanes are used, from this
-	// instance's stream base, so its own seed and round never matter.
+	// first one; only its sampleLanes is used, from this instance's
+	// stream base, so its own seed and round never matter.
 	st *PackMC
 
 	// Pack-local state, invalidated wholesale by bumping epoch. nstamp,
@@ -212,18 +212,11 @@ func (pm *WidePackMC) SetDenseThreshold(occupancy int) {
 	pm.denseThreshold = occupancy
 }
 
-// Estimate implements Estimator, bit-identical to PackMC.Estimate for the
-// same (seed, round) state: the packs of the budget run on the 64-lane
-// bidirectional kernel, from this instance's stream base.
+// Estimate implements Estimator: one Advance(k) of the query's session,
+// bit-identical to PackMC.Estimate for the same (seed, round) state.
 func (pm *WidePackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	mustValidQuery(pm.g, s, t, k)
-	if s == t {
-		return 1
-	}
-	pm.round++
-	pm.scratch.Reset()
-	hits := pm.stKernel().sampleRange(mix(pm.seed, pm.round, 0), s, t, k, 0, numPacks(k))
-	return float64(hits) / float64(k)
+	return estimateOnce(pm.Sampler(s, t), k)
 }
 
 // stKernel returns the 64-lane s-t kernel, building it on first use, so
@@ -235,25 +228,13 @@ func (pm *WidePackMC) stKernel() *PackMC {
 	return pm.st
 }
 
-// EstimateAll implements SourceEstimator: one wide sweep per pack group
-// leaves every reached node's per-world counts behind, bit-identical to
-// PackMC.EstimateAll and to per-target Estimate calls.
+// EstimateAll implements SourceEstimator: one Advance(k) of
+// AllSampler(s), whose wide sweeps leave every reached node's per-world
+// counts behind, bit-identical to PackMC.EstimateAll and to per-target
+// Estimate calls.
 func (pm *WidePackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
-	g := pm.g
-	mustValidQuery(g, s, s, k)
-	pm.round++
-	pm.scratch.Reset()
-	counts := pm.scratch.Int64s(g.NumNodes())
-	pm.accumulateAll(mix(pm.seed, pm.round, 0), s, 0, k, counts)
-	out := make([]float64, g.NumNodes())
-	for v := range out {
-		if uncertain.NodeID(v) == s {
-			out[v] = 1
-		} else if counts[v] > 0 {
-			out[v] = float64(counts[v]) / float64(k)
-		}
-	}
-	return out
+	mustValidQuery(pm.g, s, s, k)
+	return estimateAll(pm.AllSampler(s), k)
 }
 
 // accumulateAll sweeps the lane range [lo, hi) in 4-word groups and adds
@@ -315,8 +296,9 @@ func (pm *WidePackMC) MemoryBytes() int64 {
 }
 
 // Sampler implements IncrementalEstimator with PackMC's session on the
-// 64-lane s-t kernel: Advance(a); Advance(b) is bit-identical to
-// Estimate(s, t, a+b) from the same (seed, round) state, at every width.
+// 64-lane s-t kernel, from this instance's stream base: Advance(a);
+// Advance(b) is bit-identical to Advance(a+b), and to PackMC's session
+// from the same (seed, round) state, at every width.
 func (pm *WidePackMC) Sampler(s, t uncertain.NodeID) Sampler {
 	mustValidQuery(pm.g, s, t, 1)
 	if s == t {
@@ -324,7 +306,8 @@ func (pm *WidePackMC) Sampler(s, t uncertain.NodeID) Sampler {
 	}
 	pm.round++
 	pm.scratch.Reset()
-	return &packSampler{pm: pm.stKernel(), base: mix(pm.seed, pm.round, 0), s: s, t: t}
+	st, base := pm.stKernel(), mix(pm.seed, pm.round, 0)
+	return &hitSampler{draw: func(lo, hi int) int { return st.sampleLanes(base, s, t, lo, hi) }}
 }
 
 // AllSampler implements SourceSampler: the anytime form of EstimateAll,
@@ -335,39 +318,12 @@ func (pm *WidePackMC) AllSampler(s uncertain.NodeID) MultiSampler {
 	mustValidQuery(pm.g, s, s, 1)
 	pm.round++
 	pm.scratch.Reset()
-	return &widePackAllSampler{
-		pm:     pm,
-		base:   mix(pm.seed, pm.round, 0),
+	base := mix(pm.seed, pm.round, 0)
+	return &countSampler{
 		s:      s,
 		counts: pm.scratch.Int64s(pm.g.NumNodes()),
+		sweep:  func(lo, hi int, counts []int64) { pm.accumulateAll(base, s, lo, hi, counts) },
 	}
-}
-
-type widePackAllSampler struct {
-	pm     *WidePackMC
-	base   uint64
-	s      uncertain.NodeID
-	n      int
-	counts arena.Int64s
-}
-
-func (a *widePackAllSampler) Advance(dk int) {
-	checkAdvance(dk, a.n, 0)
-	if dk == 0 {
-		return
-	}
-	a.pm.accumulateAll(a.base, a.s, a.n, a.n+dk, a.counts)
-	a.n += dk
-}
-
-func (a *widePackAllSampler) N() int   { return a.n }
-func (a *widePackAllSampler) Cap() int { return 0 }
-
-func (a *widePackAllSampler) SnapshotOf(t uncertain.NodeID) SampleSnapshot {
-	if t == a.s {
-		return SampleSnapshot{Estimate: 1, N: a.n}
-	}
-	return binomialSnapshot(int(a.counts[t]), a.n, 0)
 }
 
 var (

@@ -28,12 +28,13 @@
 //   - Source grouping: the spine groups a call's queries by (estimator,
 //     source) so the source-rooted methods amortize their per-source work
 //     — one BFS Sharing traversal answers every target of a source via
-//     EstimateAll, one ProbTree group splice (QueryGraphEach) expands the
-//     source-side bag chain once for every target of a source, and one
-//     pack sweep (EstimateAll) serves every target of a source from the
-//     same counter-seeded world ensemble its single queries draw. A
-//     fixed-budget pack group whose targets are measured cheaper to search
-//     one by one runs as per-query units instead (router.searchEach).
+//     its source session (AllSampler), one ProbTree group splice
+//     (QueryGraphEach) expands the source-side bag chain once for every
+//     target of a source, and one pack sweep (AllSampler) serves every
+//     target of a source from the same counter-seeded world ensemble its
+//     single queries draw. A fixed-budget pack group whose targets are
+//     measured cheaper to search one by one runs as per-query units
+//     instead (router.searchEach).
 //     Duplicate queries in one call are computed once.
 //   - Result caching: a bounded LRU keyed by (s, t, estimator, k, ε) with
 //     hit/miss/eviction counters (cache.go).
@@ -727,7 +728,7 @@ func (e *Engine) runOne(ctx context.Context, inst core.Estimator, name string, q
 	if s, ok := inst.(core.Seeder); ok {
 		s.Reseed(seed)
 	}
-	e.runScalar(ctx, q, inst.Estimate, stSampler(inst, q), q.Eps > 0 || !dl.IsZero(), opts, res)
+	e.runScalar(ctx, q, core.NewSampler(inst, q.S, q.T), q.Eps > 0 || !dl.IsZero(), opts, res)
 }
 
 // fillAnytime reports an anytime session's outcome on res — the estimate,
@@ -787,7 +788,7 @@ func (e *Engine) fanOut(results []Response, first int, dups []int) {
 
 // querySeedFor derives the stream seed runOne reseeds with. PackMC's
 // source-grouped batch path answers every target of an (s, k) group from
-// one reseeded pack sweep (EstimateAll), so its seed must ignore the
+// one reseeded pack sweep (AllSampler), so its seed must ignore the
 // target — single and grouped execution then draw the same world ensemble
 // and, because PackMC's masks are counter-based, return identical values.
 // Every other estimator keeps the full (s, t, k) key.
@@ -846,10 +847,10 @@ type groupKey struct {
 
 // sharedName, ptName, and packName are the estimators whose core API
 // exposes multi-target amortization: one BFS Sharing traversal computes
-// every target's reliability at once (EstimateAll), one ProbTree group
+// every target's reliability at once (AllSampler), one ProbTree group
 // splice expands the source-side bag chain once for all targets
 // (QueryGraphAll), and one pack sweep leaves every reached node's
-// per-world hit counts behind (EstimateAll again; a fixed-budget pack
+// per-world hit counts behind (AllSampler again; a fixed-budget pack
 // group may search per target instead, see run). All other estimators
 // answer per query, so their batch queries become individual work units
 // and spread over all workers instead of serializing behind a shared
@@ -882,7 +883,7 @@ func servedBy(name string) string {
 
 // packLike reports whether name is a world-packed kernel at any lane
 // width. All three share PackMC's counter-based stream properties: the
-// target-less query seed, the amortized EstimateAll batch path, and
+// target-less query seed, the amortized source-session batch path, and
 // evidence capability (index-free, O(n) construction per overlay).
 func packLike(name string) bool {
 	return name == packName || name == pack256Name || name == pack512Name
@@ -1217,15 +1218,16 @@ func runContained(j int, fn func(int), onPanic func(int, error)) {
 // runShared amortizes a groupable (estimator, source, k, ε, deadline)
 // group: every query shares the estimator, source, budget, and stopping
 // rule, so the per-source work is paid once for the whole group. For BFS
-// Sharing and PackMC one EstimateAll traversal answers all targets at
-// once — EstimateAll(s, k)[t] is exactly Estimate(s, t, k), the s-t query
-// just reads one entry of the traversal the method computes anyway (PackMC
-// is reseeded target-less, and its counter-based streams draw the world
-// ensemble each single query would). For ProbTree one QueryGraphEach call
-// expands the s-side bag chain once and splices every target against it,
-// producing per-target query graphs identical to per-query splicing; each
-// target's inner estimate then runs under its own per-query reseed. On
-// every path amortization does not change results.
+// Sharing and PackMC one source session (AllSampler) advanced by k
+// answers all targets at once — its SnapshotOf(t) is exactly
+// Estimate(s, t, k), the s-t query just reads one entry of the traversal
+// the method computes anyway (PackMC is reseeded target-less, and its
+// counter-based streams draw the world ensemble each single query would).
+// For ProbTree one QueryGraphEach call expands the s-side bag chain once
+// and splices every target against it, producing per-target query graphs
+// identical to per-query splicing; each target's inner estimate then runs
+// under its own per-query reseed. On every path amortization does not
+// change results.
 //
 // Anytime groups (ε or deadline set) run the same amortized traversals
 // incrementally: BFS Sharing and PackMC advance one multi-target session
@@ -1318,16 +1320,17 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 			if sd, ok := est.(core.Seeder); ok {
 				sd.Reseed(e.querySeedFor(name, s, s, k))
 			}
+			ms := est.AllSampler(s)
 			if anytime {
-				for i, ar := range core.AdaptiveEstimateAll(est.AllSampler(s), missTargets, opts) {
+				for i, ar := range core.AdaptiveEstimateAll(ms, missTargets, opts) {
 					e.fillAnytime(ctx, &results[misses[i][0]], k, ar)
 				}
 				break
 			}
-			all := est.EstimateAll(s, k)
+			ms.Advance(k)
 			for i, t := range missTargets {
 				res := &results[misses[i][0]]
-				res.Reliability, res.SamplesUsed = all[t], k
+				res.Reliability, res.SamplesUsed = ms.SnapshotOf(t).Estimate, k
 			}
 		default:
 			panic(fmt.Sprintf("engine: estimator %q grouped without an amortized path", name))

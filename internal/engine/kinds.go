@@ -214,28 +214,27 @@ func (e *Engine) computeKind(ctx context.Context, st *epochState, name string, q
 	switch q.kind() {
 	case KindReliability: // evidence-conditioned s-t
 		inst := e.overlayEstimator(name, g, q)
-		e.runScalar(ctx, q, inst.Estimate, stSampler(inst, q), anytime, opts, res)
+		e.runScalar(ctx, q, core.NewSampler(inst, q.S, q.T), anytime, opts, res)
 	case KindDistance:
 		if q.Evidence.Empty() {
 			p := e.distPool(st, q.D)
 			if err := e.withReplica(p, func(inst core.Estimator) {
 				inst.(core.Seeder).Reseed(e.kindSeed(name, q))
-				e.runScalar(ctx, q, inst.Estimate, stSampler(inst, q), anytime, opts, res)
+				e.runScalar(ctx, q, core.NewSampler(inst, q.S, q.T), anytime, opts, res)
 			}); err != nil {
 				res.Err = err
 			}
 			return
 		}
 		inst := core.NewDistanceConstrainedMC(g, e.kindSeed(name, q), q.D)
-		e.runScalar(ctx, q, inst.Estimate, stSampler(inst, q), anytime, opts, res)
+		e.runScalar(ctx, q, inst.Sampler(q.S, q.T), anytime, opts, res)
 	case KindKTerminal:
 		kt, err := core.NewKTerminal(g, e.kindSeed(name, q), q.Targets)
 		if err != nil {
 			res.Err = err
 			return
 		}
-		est := func(s, _ uncertain.NodeID, k int) float64 { return kt.Estimate(s, k) }
-		e.runScalar(ctx, q, est, func() core.Sampler { return kt.Sampler(q.S) }, anytime, opts, res)
+		e.runScalar(ctx, q, kt.Sampler(q.S), anytime, opts, res)
 	case KindTopK, KindSingleSource:
 		e.runSourceRooted(ctx, st, name, g, q, anytime, opts, res)
 	default:
@@ -243,26 +242,20 @@ func (e *Engine) computeKind(ctx context.Context, st *epochState, name string, q
 	}
 }
 
-// stSampler defers opening an s-t sampler session until the anytime path
-// actually needs it: opening a session can advance estimator stream state
-// (PackMC's round counter), which would knock the fixed path off the
-// bit-identical stream a hand-constructed estimator draws.
-func stSampler(inst core.Estimator, q Request) func() core.Sampler {
-	return func() core.Sampler { return core.NewSampler(inst, q.S, q.T) }
-}
-
 // runScalar answers the scalar kinds (plain s-t through runOne, s-t under
-// evidence, distance, k-terminal): one fixed-budget call, or an anytime
-// session under the request's stopping rules. The fixed path calls the
-// estimator's own Estimate, so it stays bit-identical to a
+// evidence, distance, k-terminal) on an open session: one Advance of the
+// full budget, or an anytime run under the request's stopping rules. A
+// fixed answer is what the estimator's own Estimate returns, since that
+// is one Advance of the same session, so it stays bit-identical to a
 // hand-constructed run with the same stream seed.
-func (e *Engine) runScalar(ctx context.Context, q Request, est func(s, t uncertain.NodeID, k int) float64, open func() core.Sampler, anytime bool, opts core.AdaptiveOptions, res *Response) {
+func (e *Engine) runScalar(ctx context.Context, q Request, sp core.Sampler, anytime bool, opts core.AdaptiveOptions, res *Response) {
 	if !anytime {
-		res.Reliability = est(q.S, q.T, q.K)
+		sp.Advance(q.K)
+		res.Reliability = sp.Snapshot().Estimate
 		res.SamplesUsed = q.K
 		return
 	}
-	e.fillAnytime(ctx, res, q.K, core.AdaptiveEstimate(open(), opts))
+	e.fillAnytime(ctx, res, q.K, core.AdaptiveEstimate(sp, opts))
 }
 
 // runSourceRooted answers top-k and single-source: one shared multi-target

@@ -57,7 +57,7 @@ type router struct {
 	boundsSecs float64                // wall-clock seconds those took in total
 
 	// sweeps and searches hold each pack width's measured cost per sample
-	// of a fixed-k source sweep (a batch group's EstimateAll) and of one
+	// of a fixed-k source sweep (a batch group's source session) and of one
 	// fixed-k s-t search; searchEach weighs them for batch groups.
 	sweeps   map[string]latencyMean
 	searches map[string]latencyMean

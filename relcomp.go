@@ -201,10 +201,11 @@ const (
 
 // NewSampler opens an incremental estimation session for (s, t) on est:
 // the estimator's native sampler when it supports chunked advancement
-// (MC, PackMC, BFS Sharing, LP+, ProbTree — all bit-identical to their
-// one-shot Estimate at equal total samples), or a restart-doubling
-// adapter (RHH, RSS). At most one session per estimator instance may be
-// open at a time.
+// (MC, PackMC, BFS Sharing, LP+, ProbTree — each one's Estimate is one
+// Advance of this session, and chunked Advances equal it at equal total
+// samples), or a restart-doubling adapter (RHH, RSS), whose first Advance
+// is one Estimate. At most one session per estimator instance may be open
+// at a time.
 func NewSampler(est Estimator, s, t NodeID) Sampler { return core.NewSampler(est, s, t) }
 
 // AdaptiveEstimate advances a sampler in geometrically growing chunks
