@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"relcomp/internal/bounds"
 	"relcomp/internal/harness"
 )
 
@@ -717,25 +718,34 @@ func BenchmarkMutateQuery(b *testing.B) {
 // BenchmarkBounds times ReliabilityBounds alone, on the two graphs the
 // routed relbench workloads run on and the same h=2 pairs the paper's
 // workload draws: the planner's inner loop without a server around it.
+// The "_decide" rows time the pinch decision the router makes for a
+// fixed-k query (bounds.Decide at the default cutoff) on the same pairs.
 func BenchmarkBounds(b *testing.B) {
 	for _, name := range []string{"NetHept", "DBLP_0.2"} {
-		b.Run(name, func(b *testing.B) {
-			g, err := Dataset(name, 1, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pairs, err := QueryPairs(g, 256, 2, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				if _, _, err := ReliabilityBounds(g, p.S, p.T); err != nil {
-					b.Fatal(err)
+		g, err := Dataset(name, 1, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs, err := QueryPairs(g, 256, 2, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range []struct {
+			name   string
+			bounds func(s, t NodeID) error
+		}{
+			{name, func(s, t NodeID) error { _, _, err := ReliabilityBounds(g, s, t); return err }},
+			{name + "_decide", func(s, t NodeID) error { _, _, _, err := bounds.Decide(g, s, t, 0.02); return err }},
+		} {
+			b.Run(row.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p := pairs[i%len(pairs)]
+					if err := row.bounds(p.S, p.T); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -58,12 +58,21 @@ func (sc *scratch) mostReliablePath(g *uncertain.Graph, s, t uncertain.NodeID) P
 // independently, so R >= 1 - Π(1 - Prob(path_i)) for any such set of
 // paths, whichever way ties between equally reliable paths break.
 func LowerBound(g *uncertain.Graph, s, t uncertain.NodeID) (float64, error) {
-	return with(g, s, t, (*scratch).lowerBound)
+	return with(g, s, t, func(sc *scratch, g *uncertain.Graph, s, t uncertain.NodeID) float64 {
+		lo, _ := sc.lowerBound(g, s, t, 0)
+		return lo
+	})
 }
 
-func (sc *scratch) lowerBound(g *uncertain.Graph, s, t uncertain.NodeID) float64 {
+// lowerBound runs the rounds of LowerBound, but stops early once the
+// bound can no longer reach floor, and then reports full false. Each
+// round searches a subset of the edges the one before it searched, so no
+// later path is more reliable than the last one found, p: with r rounds
+// left the bound can reach at most 1 - miss·(1-p)^r. A floor of 0 or
+// less never stops it, as that reach is never negative.
+func (sc *scratch) lowerBound(g *uncertain.Graph, s, t uncertain.NodeID, floor float64) (lo float64, full bool) {
 	if s == t {
-		return 1
+		return 1, true
 	}
 	// At most 16 paths. Each takes one out-edge of s and one in-edge of t,
 	// so no round is spent finding that either kind has run out.
@@ -80,8 +89,11 @@ func (sc *scratch) lowerBound(g *uncertain.Graph, s, t uncertain.NodeID) float64
 		if sc.visit != nil {
 			sc.visit(sc.consumed[from:])
 		}
+		if left := rounds - 1; left > 0 && 1-miss*math.Pow(1-prob, float64(left)) < floor {
+			return 1 - miss, false
+		}
 	}
-	return 1 - miss
+	return 1 - miss, true
 }
 
 // UpperBound returns a polynomial-time upper bound on R(s,t): the minimum
@@ -114,12 +126,35 @@ func (sc *scratch) upperBound(g *uncertain.Graph, s, t uncertain.NodeID) float64
 
 // Bounds returns (lower, upper) together.
 func Bounds(g *uncertain.Graph, s, t uncertain.NodeID) (lo, hi float64, err error) {
-	b, err := with(g, s, t, func(sc *scratch, g *uncertain.Graph, s, t uncertain.NodeID) [2]float64 {
-		return [2]float64{sc.lowerBound(g, s, t), sc.upperBound(g, s, t)}
+	// Every width is within an infinite cutoff, so every round runs.
+	lo, hi, _, err = Decide(g, s, t, math.Inf(1))
+	return lo, hi, err
+}
+
+// Decide returns bounds good enough to tell whether they pinch R(s,t),
+// that is whether hi - lo <= cutoff, at a fraction of Bounds's cost. hi
+// is Bounds's upper bound. The lower bound's rounds stop as soon as lo
+// can no longer reach hi - cutoff, so lo may be below Bounds's lower
+// bound, but only on a pair that does not pinch: the verdict is always
+// Bounds's. full reports that every round ran, in which case lo is
+// Bounds's lower bound too; on a pair that pinches it always is.
+func Decide(g *uncertain.Graph, s, t uncertain.NodeID, cutoff float64) (lo, hi float64, full bool, err error) {
+	type out struct {
+		lo, hi float64
+		full   bool
+	}
+	b, err := with(g, s, t, func(sc *scratch, g *uncertain.Graph, s, t uncertain.NodeID) out {
+		hi := sc.upperBound(g, s, t)
+		lo, full := sc.lowerBound(g, s, t, hi-cutoff-decideSlack)
+		return out{lo, hi, full}
 	})
 	// min guards against floating-point crossing on near-degenerate inputs.
-	return min(b[0], b[1]), b[1], err
+	return min(b.lo, b.hi), b.hi, b.full, err
 }
+
+// decideSlack keeps Decide's early stop clear of the pinch verdict by far
+// more than rounding moves a path's probability between rounds.
+const decideSlack = 1e-9
 
 // ChernoffSamples returns the Monte Carlo sample size that guarantees
 // Pr(|R̂ - R| >= eps·R) <= lambda for a reliability at least rLow,

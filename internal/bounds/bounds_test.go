@@ -240,7 +240,8 @@ func lowerBoundPaths(t *testing.T, g *uncertain.Graph, s, tt uncertain.NodeID) (
 	lo, err := with(g, s, tt, func(sc *scratch, g *uncertain.Graph, s, tt uncertain.NodeID) float64 {
 		sc.visit = func(path []uncertain.EdgeID) { paths = append(paths, append([]uncertain.EdgeID(nil), path...)) }
 		defer func() { sc.visit = nil }()
-		return sc.lowerBound(g, s, tt)
+		lo, _ := sc.lowerBound(g, s, tt, 0)
+		return lo
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -662,16 +662,10 @@ func (q *ProbTreeQuerier) Splice(s, t uncertain.NodeID) SplicedQuery {
 }
 
 // EstimateSpliced runs the inner estimator on an already-spliced query
-// graph with the full sample budget.
+// graph with the full sample budget: one Advance(k) of SplicedSampler's
+// session.
 func (q *ProbTreeQuerier) EstimateSpliced(sq SplicedQuery, k int) float64 {
-	if sq.Same {
-		return 1
-	}
-	if !sq.OK {
-		return 0
-	}
-	inner := q.inner(sq.G, q.rng.Uint64())
-	return inner.Estimate(sq.S, sq.T, k)
+	return estimateOnce(q.SplicedSampler(sq), k)
 }
 
 // Estimate implements Estimator: build the query graph, then run the inner

@@ -582,8 +582,9 @@ func (e *Engine) EstimateBatch(ctx context.Context, queries []Query) []Result {
 // it fills res in and reports done; no sampling runs at all. Otherwise
 // the returned decision names the routed estimator and carries the
 // bounds interval, which seeds the anytime stopping layer's prior and
-// chunk schedule.
-func (e *Engine) resolve(st *epochState, q Query, res *Result) (d decision, done bool) {
+// chunk schedule; full asks for full bounds where the schedule will read
+// them, and otherwise a pinch decision serves.
+func (e *Engine) resolve(st *epochState, q Query, res *Result, full bool) (d decision, done bool) {
 	if q.Estimator == BoundsName {
 		start := time.Now()
 		res.Used = BoundsName
@@ -593,7 +594,11 @@ func (e *Engine) resolve(st *epochState, q Query, res *Result) (d decision, done
 		return d, true
 	}
 	start := time.Now()
-	d = e.router.route(st.g, st.srcTag(q.S), q.S, q.T)
+	if full {
+		d = e.router.routeFull(st.g, st.srcTag(q.S), q.S, q.T)
+	} else {
+		d = e.router.route(st.g, st.srcTag(q.S), q.S, q.T)
+	}
 	if d.pinched {
 		res.Used = BoundsName
 		res.Reliability = d.value
@@ -1007,8 +1012,12 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 		decisions[i].estimator = q.Estimator
 	}
 	// Resolve adaptive queries across the workers first — the analytic
-	// bounds walk dominates routing cost and must not run serially —
+	// bounds walk is most of routing's cost and must not run serially —
 	// so routed queries join the amortized groups below like named ones.
+	// A pair group holding an anytime query, or any under a context
+	// deadline, runs on a bounds-seeded schedule (below) and needs full
+	// bounds; fixed-k groups need only the pinch verdict.
+	_, ctxDeadline := ctx.Deadline()
 	pairs := routed.groups
 	e.forEachParallel(len(pairs), func(j int) {
 		idxs := pairs[j]
@@ -1018,8 +1027,12 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 			}
 			return
 		}
+		full := ctxDeadline
+		for _, i := range idxs {
+			full = full || exec[i].anytime()
+		}
 		first := idxs[0]
-		d, done := e.resolve(st, exec[first], &results[first])
+		d, done := e.resolve(st, exec[first], &results[first], full)
 		if done {
 			// Duplicates count in the bounds counters like separate calls.
 			for range idxs[1:] {
@@ -1045,7 +1058,6 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 	// on every run of an identical call. Group keys extend cacheKey with
 	// the deadline; for amortized groups the target is zeroed, keying on
 	// (estimator, s, k, ε, deadline).
-	_, ctxDeadline := ctx.Deadline()
 	var shared, single orderedGroups[groupKey]
 	for i, q := range exec {
 		name := decisions[i].estimator

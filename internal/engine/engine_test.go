@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"relcomp/internal/bounds"
 	"relcomp/internal/core"
 	"relcomp/internal/datasets"
 	"relcomp/internal/exact"
@@ -289,7 +290,7 @@ func TestRouterPrefersAccuracyOnWideBounds(t *testing.T) {
 	// bounds width: wide, hard-classified bounds no longer route to RSS.
 	g := uncertain.NewBuilder(2).Build()
 	for tag, b := range [][2]float64{{0.05, 0.95}, {0, 1}, {0.4, 0.5}} {
-		r.memo.put(cacheKey{s: 0, t: 1, epoch: uint64(tag)}, b)
+		r.memo.put(cacheKey{s: 0, t: 1, epoch: uint64(tag)}, memoBounds{lo: b[0], hi: b[1], full: true})
 		if d := r.route(g, uint64(tag), 0, 1); d.estimator != "MC" {
 			t.Errorf("bounds %v routed to %q, want the cheapest, MC", b, d.estimator)
 		}
@@ -566,6 +567,69 @@ func TestRouterBoundsMemo(t *testing.T) {
 	if st.BoundsComputed != 1 || st.BoundsSeconds <= 0 || st.BoundsCutoff != defaultBoundsCutoff {
 		t.Errorf("Stats() bounds computed %d in %v s at cutoff %v, want 1, > 0, %v", st.BoundsComputed, st.BoundsSeconds, st.BoundsCutoff, defaultBoundsCutoff)
 	}
+}
+
+// TestRoutedAnytimeGetsFullBounds: a routed fixed-k query memoizes
+// decision-grade bounds, and a routed eps query of the same pair after it
+// (or beside it in one batch) must still seed its schedule from the full
+// bounds, answering exactly as on an engine that never saw the fixed-k
+// query.
+func TestRoutedAnytimeGetsFullBounds(t *testing.T) {
+	cfg := Config{Workers: 2, MaxK: 20000, Seed: 42, Estimators: []string{"MC"}}
+	e := testEngine(t, cfg)
+	g := e.Graph()
+	// A pair whose decision-grade lower bound is below the full one.
+	fixed := Query{S: -1, K: 200}
+	for s := uncertain.NodeID(0); fixed.S < 0 && int(s) < g.NumNodes(); s++ {
+		for d := uncertain.NodeID(0); int(d) < g.NumNodes(); d++ {
+			if lo, _, full, err := bounds.Decide(g, s, d, defaultBoundsCutoff); err == nil && !full {
+				if blo, _, _ := bounds.Bounds(g, s, d); lo < blo {
+					fixed.S, fixed.T = s, d
+					break
+				}
+			}
+		}
+	}
+	if fixed.S < 0 {
+		t.Fatal("no pair stops its lower-bound rounds early")
+	}
+	lo, hi, _ := bounds.Bounds(g, fixed.S, fixed.T)
+	memoIsFull := func(label string, e *Engine) {
+		t.Helper()
+		key := cacheKey{s: fixed.S, t: fixed.T, epoch: e.state.Load().srcTag(fixed.S)}
+		if b, _ := e.router.memo.peek(key); b != (memoBounds{lo: lo, hi: hi, full: true}) {
+			t.Errorf("%s: the memo holds %+v, want the full bounds [%v, %v]", label, b, lo, hi)
+		}
+	}
+	eps := Query{S: fixed.S, T: fixed.T, K: cfg.MaxK, Eps: 0.05}
+	first := testEngine(t, cfg)
+	fresh := first.Estimate(context.Background(), eps)
+	if fresh.Err != nil {
+		t.Fatal(fresh.Err)
+	}
+	memoIsFull("eps alone", first)
+	same := func(label string, got Result) {
+		t.Helper()
+		if got.Err != nil || got.Used != fresh.Used || got.Reliability != fresh.Reliability ||
+			got.SamplesUsed != fresh.SamplesUsed || got.StopReason != fresh.StopReason {
+			t.Errorf("%s: %s answered %v on %d samples (%s, err %v); a fresh engine %s answered %v on %d (%s)", label,
+				got.Used, got.Reliability, got.SamplesUsed, got.StopReason, got.Err,
+				fresh.Used, fresh.Reliability, fresh.SamplesUsed, fresh.StopReason)
+		}
+	}
+	if res := e.Estimate(context.Background(), fixed); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	key := cacheKey{s: fixed.S, t: fixed.T, epoch: e.state.Load().srcTag(fixed.S)}
+	if b, ok := e.router.memo.peek(key); !ok || b.full {
+		t.Fatalf("after the fixed-k query the memo holds %+v (present %v), want decision-grade bounds", b, ok)
+	}
+	same("eps after fixed-k", e.Estimate(context.Background(), eps))
+	memoIsFull("eps after fixed-k", e)
+
+	mixed := testEngine(t, cfg)
+	same("eps beside fixed-k in one batch", mixed.EstimateBatch(context.Background(), []Query{fixed, eps})[1])
+	memoIsFull("eps beside fixed-k in one batch", mixed)
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -36,18 +36,21 @@ type router struct {
 	cutoff     float64  // bounds width below which no sampling is needed
 	candidates []string // estimator names the router may pick, engine order
 
-	// memo caches the (lo, hi) bounds per (s, t, source-epoch tag): the
-	// bounds are static properties of one epoch's graph, and computing
-	// them searches the neighbourhoods of both terminals (a fraction of a
-	// millisecond; boundsSecs has the measured total), so repeated
-	// adaptive queries (including bounds-pinched ones) need not pay that
-	// every time. The caller passes the graph per call (it changes across
+	// memo caches the bounds per (s, t, source-epoch tag): the bounds are
+	// static properties of one epoch's graph, and computing them searches
+	// the neighbourhoods of both terminals (boundsSecs has the measured
+	// total), so repeated adaptive queries (including bounds-pinched ones)
+	// need not pay that every time. An entry may hold a decision-grade
+	// lower bound (bounds.Decide), which is all a fixed-k route needs; a
+	// caller that reads lo itself upgrades the entry to full bounds in
+	// place. The caller passes the graph per call (it changes across
 	// mutation epochs) and the source's invalidation tag, which keys
 	// entries so a mutation reachable from s orphans s's memoized bounds
 	// while every other source keeps hitting. There is no in-flight dedup
 	// — concurrent first queries for one (s, t) may race to fill the entry
-	// (benign: the searches return identical values).
-	memo *lruCache[[2]float64]
+	// (benign: the searches return identical values, and a decision-grade
+	// entry that lands after a full one only costs a later upgrade).
+	memo *lruCache[memoBounds]
 
 	mu         sync.Mutex
 	latency    map[string]latencyMean // per estimator; absent = no sample yet
@@ -61,6 +64,13 @@ type router struct {
 	// fixed-k s-t search; searchEach weighs them for batch groups.
 	sweeps   map[string]latencyMean
 	searches map[string]latencyMean
+}
+
+// memoBounds is one bounds-memo entry. full reports that lo is the full
+// lower bound, not one whose rounds stopped once the pinch was ruled out.
+type memoBounds struct {
+	lo, hi float64
+	full   bool
 }
 
 // latencyMean is one estimator's latency estimate in seconds per query
@@ -83,7 +93,7 @@ func newRouter(candidates []string, cutoff float64, memoSize int) *router {
 	return &router{
 		cutoff:     cutoff,
 		candidates: candidates,
-		memo:       newLRUCache[[2]float64](memoSize),
+		memo:       newLRUCache[memoBounds](memoSize),
 		latency:    make(map[string]latencyMean, len(candidates)),
 		routed:     make(map[string]uint64, len(candidates)),
 		sweeps:     make(map[string]latencyMean),
@@ -104,14 +114,22 @@ type decision struct {
 }
 
 // boundsFor returns the memoized analytic bounds for (s, t) on g, keyed
-// by the source's invalidation tag.
-func (r *router) boundsFor(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID) (lo, hi float64) {
+// by the source's invalidation tag. With full unset the lower bound may
+// be decision-grade: below the full one on a pair that does not pinch,
+// which leaves the pinch verdict unchanged. A decision-grade entry asked
+// for full bounds is recomputed and replaced.
+func (r *router) boundsFor(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID, full bool) (lo, hi float64) {
 	memoKey := cacheKey{s: s, t: t, epoch: tag}
-	if b, ok := r.memo.get(memoKey); ok {
-		return b[0], b[1]
+	if b, ok := r.memo.get(memoKey); ok && (b.full || !full) {
+		return b.lo, b.hi
 	}
 	start := time.Now()
-	lo, hi, err := bounds.Bounds(g, s, t)
+	var err error
+	if full {
+		lo, hi, err = bounds.Bounds(g, s, t)
+	} else {
+		lo, hi, full, err = bounds.Decide(g, s, t, r.cutoff)
+	}
 	elapsed := time.Since(start).Seconds()
 	r.mu.Lock()
 	r.boundsRuns++
@@ -122,9 +140,9 @@ func (r *router) boundsFor(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID
 		// routing; a bounds failure here means a degenerate graph, so
 		// fall through to the measured-cheapest choice with a maximally
 		// wide interval.
-		lo, hi = 0, 1
+		lo, hi, full = 0, 1, true
 	}
-	r.memo.put(memoKey, [2]float64{lo, hi})
+	r.memo.put(memoKey, memoBounds{lo: lo, hi: hi, full: full})
 	return lo, hi
 }
 
@@ -132,26 +150,41 @@ func (r *router) boundsFor(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID
 // without computing, filling, or counting anything — the admission
 // controller's cost estimator consults it on every request, and a cost
 // estimate must neither pay the bounds walk nor skew the memo stats. ok
-// is false when the pair has not been routed yet (at this tag).
+// is false when the pair has not been routed yet (at this tag). The
+// lower bound may be decision-grade (boundsFor), so the width may be
+// wider than the full bounds' on a pair that does not pinch.
 func (r *router) peekBounds(tag uint64, s, t uncertain.NodeID) (lo, hi float64, ok bool) {
 	b, ok := r.memo.peek(cacheKey{s: s, t: t, epoch: tag})
 	if !ok {
 		return 0, 1, false
 	}
-	return b[0], b[1], true
+	return b.lo, b.hi, true
 }
 
-// midpoint answers a query from the bounds alone, regardless of width —
-// the explicitly requested "bounds" pseudo-estimator.
+// midpoint answers a query from the full bounds alone, regardless of
+// width — the explicitly requested "bounds" pseudo-estimator.
 func (r *router) midpoint(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID) float64 {
-	lo, hi := r.boundsFor(g, tag, s, t)
+	lo, hi := r.boundsFor(g, tag, s, t, true)
 	r.notePinched()
 	return (lo + hi) / 2
 }
 
-// route decides how to answer an s-t query with no named estimator.
+// route decides how to answer an s-t query with no named estimator. A
+// fixed-k query needs only the pinch verdict, so decision-grade bounds
+// serve it; routeFull is route for queries that read the decision's prior
+// and width.
 func (r *router) route(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID) decision {
-	lo, hi := r.boundsFor(g, tag, s, t)
+	return r.decide(r.boundsFor(g, tag, s, t, false))
+}
+
+// routeFull is route on full bounds.
+func (r *router) routeFull(g *uncertain.Graph, tag uint64, s, t uncertain.NodeID) decision {
+	return r.decide(r.boundsFor(g, tag, s, t, true))
+}
+
+// decide answers from the bounds (lo, hi) when they pinch, and otherwise
+// picks the candidate to sample with.
+func (r *router) decide(lo, hi float64) decision {
 	width := hi - lo
 	if width <= r.cutoff {
 		r.notePinched()
