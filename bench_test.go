@@ -335,6 +335,47 @@ func BenchmarkPackMCEngineBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPackMCEngineGroup times one PackMC-named source group on
+// DBLP_0.2: 20 distinct targets two hops from one source, k=1000, through
+// a 1-worker engine with the cache off. On this graph a 256-lane sweep
+// costs about half a 64-lane one, so the group's cost follows the width
+// the engine sweeps at. The warm-up batches measure both widths and the
+// s-t search before the timer starts.
+func BenchmarkPackMCEngineGroup(b *testing.B) {
+	g, err := Dataset("DBLP_0.2", 1, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs, err := QueryPairs(g, 1, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := pairs[0].S
+	var queries []Query
+	for v, d := range g.HopDistances(s, 2) {
+		if d == 2 && len(queries) < 20 {
+			queries = append(queries, Query{S: s, T: NodeID(v), K: 1000, Estimator: "PackMC"})
+		}
+	}
+	eng, err := NewEngine(g, EngineConfig{Workers: 1, MaxK: 1000, Seed: 7, CacheSize: 0, Estimators: []string{"PackMC"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		eng.EstimateBatch(context.Background(), queries)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range eng.EstimateBatch(context.Background(), queries) {
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N), "ms/group")
+}
+
 // probTreeBenchGraph builds the workload shape ProbTree's index exists
 // for (tree-like, low treewidth): a random tree plus a few cross edges,
 // so the width-2 elimination absorbs almost every node into a bag and the

@@ -13,8 +13,9 @@ import (
 // stays O(index) regardless of Workers — a batch API that groups queries
 // by source so BFS Sharing amortizes one traversal across all targets of
 // a source, ProbTree amortizes its source-side bag expansion across a
-// source group, and the wide PackMC widths amortize one pack sweep across
-// a source group, a bounded LRU result cache, and an adaptive per-query
+// source group, and the PackMC names amortize one pack sweep, at the
+// width measured cheaper, across a source group, a bounded LRU result
+// cache, and an adaptive per-query
 // estimator router driven by analytic bounds width and online latency
 // statistics. Queries carrying an accuracy target (Query.Eps) or latency
 // target (Query.Deadline) run anytime: the engine advances incremental
@@ -136,7 +137,8 @@ func NewEngine(g *Graph, cfg EngineConfig) (*Engine, error) {
 
 // DefaultEngineEstimators lists the estimators an engine builds when the
 // config leaves the set empty: the paper's six plus the word-packed
-// PackMC and the multi-core ParallelMC / ParallelPackMC extensions.
+// PackMC under its three names (PackMC, PackMC256, PackMC512, one replica
+// pool) and the multi-core ParallelMC / ParallelPackMC extensions.
 func DefaultEngineEstimators() []string { return engine.DefaultEstimators() }
 
 // BorrowEstimator runs fn with exclusive use of a pooled instance of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -47,24 +48,38 @@ import (
 // into amortized source groups), and ParallelPackMC returns bit-identical
 // values to PackMC for any worker count.
 //
+// A source sweep runs 64 lanes (sweepPack) or 256 (runWide4, widepack4.go)
+// per traversal, from the same counter stream, so both widths return
+// identical values and only the cost differs (SweepAt). Each kernel's
+// scratch is built on its first use, so an instance holds only the
+// scratch of the kernels it has run.
+//
 // Like the other estimators, PackMC is deterministic given its seed and
 // not safe for concurrent use.
 type PackMC struct {
 	g    *uncertain.Graph
 	seed uint64
-	// round counts Estimate/EstimateAll calls since the last Reseed; it
-	// salts the mask streams so successive calls draw fresh worlds.
+	// round counts queries since the last Reseed; it salts the mask
+	// streams so successive calls draw fresh worlds.
 	round uint64
 
-	// Per-pack scratch, invalidated wholesale by bumping epoch. fwd holds
-	// the masks grown from s, bwd those grown toward t (s-t packs only);
-	// both read one edge-mask cache, so they see the same worlds.
+	// Per-pack scratch, invalidated wholesale by bumping epoch, which
+	// both kernels share. fwd holds the masks grown from s, bwd those
+	// grown toward t (s-t packs only); both read one edge-mask cache, so
+	// they see the same worlds.
 	epoch   uint32
 	fwd     packSide
 	bwd     packSide
 	edges   []packEdge
 	qfix    []uint64           // per-edge probability in rng.FixedProb fixed point
-	touched []uncertain.NodeID // nodes stamped this pack (EstimateAll only)
+	touched []uncertain.NodeID // nodes stamped this pack (sweeps only)
+	wideScratch
+
+	// denseThreshold is the worklist backlog above which a 256-lane
+	// sweep switches to the level-synchronous bitmap mode; 0 disables
+	// the switch. Set from the graph size at construction; tests
+	// override it to force either mode.
+	denseThreshold int
 
 	// scratch is the per-query arena (multi-target hit counters); each
 	// query Resets it, so its memory lives until the instance's next query.
@@ -130,21 +145,26 @@ func (x *packSide) start(root uncertain.NodeID, active uint64, ep uint32) *packS
 func (x *packSide) frontier() int { return len(x.queue) - x.head }
 
 // NewPackMC returns a PackMC estimator over g with the given random seed.
+// It allocates no kernel scratch until its first query.
 func NewPackMC(g *uncertain.Graph, seed uint64) *PackMC {
-	pm := &PackMC{
-		g:     g,
-		seed:  seed,
-		fwd:   newPackSide(g.NumNodes()),
-		bwd:   newPackSide(g.NumNodes()),
-		edges: make([]packEdge, g.NumEdges()),
-		qfix:  make([]uint64, g.NumEdges()),
+	return &PackMC{g: g, seed: seed, denseThreshold: g.NumNodes() / denseSwitchDen}
+}
+
+// ensureST builds the s-t scratch on the first search or 64-lane sweep.
+// Classifying and fixed-point-converting every edge probability once
+// here keeps the float branches out of the per-probe mask draws.
+func (pm *PackMC) ensureST() {
+	if pm.edges != nil {
+		return
 	}
-	// Classifying and fixed-point-converting every edge probability once
-	// here keeps the float branches out of the per-probe mask draws.
-	for id := 0; id < g.NumEdges(); id++ {
+	g := pm.g
+	pm.fwd = newPackSide(g.NumNodes())
+	pm.bwd = newPackSide(g.NumNodes())
+	pm.edges = make([]packEdge, g.NumEdges())
+	pm.qfix = make([]uint64, g.NumEdges())
+	for id := range pm.qfix {
 		pm.qfix[id] = rng.FixedProb(g.Edge(uncertain.EdgeID(id)).P)
 	}
-	return pm
 }
 
 // Name implements Estimator.
@@ -212,12 +232,11 @@ func (pm *PackMC) sampleLanes(base uint64, s, t uncertain.NodeID, lo, hi int) in
 // (seed, round) state. Unvisited nodes report 0 and s reports 1.
 // Implements SourceEstimator.
 func (pm *PackMC) EstimateAll(s uncertain.NodeID, k int) []float64 {
-	mustValidQuery(pm.g, s, s, k)
-	return estimateAll(pm.AllSampler(s), k)
+	return packSweep{pm, 64}.EstimateAll(s, k)
 }
 
-// accumulateAll sweeps the lane range [lo, hi) pack by pack and adds
-// every touched node's per-world hit count into counts.
+// accumulateAll sweeps the lane range [lo, hi) pack by pack at 64 lanes
+// and adds every touched node's per-world hit count into counts.
 func (pm *PackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int, counts []int64) {
 	for j := lo >> 6; j*64 < hi; j++ {
 		pm.sweepPack(base, uint64(j), s, laneMask(j, lo, hi))
@@ -227,8 +246,8 @@ func (pm *PackMC) accumulateAll(base uint64, s uncertain.NodeID, lo, hi int, cou
 	}
 }
 
-// nextPack invalidates all per-pack scratch in O(1); the wrap-around clear
-// runs once every 2^32 packs.
+// nextPack invalidates all per-pack scratch of both kernels in O(1); the
+// wrap-around clear runs once every 2^32 packs.
 func (pm *PackMC) nextPack() {
 	pm.epoch++
 	if pm.epoch == 0 {
@@ -241,6 +260,8 @@ func (pm *PackMC) nextPack() {
 		for i := range pm.edges {
 			pm.edges[i].epoch = 0
 		}
+		clear(pm.nstamp)
+		clear(pm.edgeEpoch)
 		pm.epoch = 1
 	}
 }
@@ -263,6 +284,7 @@ func (pm *PackMC) runPack(base, pack uint64, s, t uncertain.NodeID, active uint6
 // its root with the active lanes. stepPack then runs it level by level;
 // the pack stays resumable until the next startPack or sweepPack.
 func (pm *PackMC) startPack(s, t uncertain.NodeID, active uint64) {
+	pm.ensureST()
 	pm.nextPack()
 	pm.fwd.start(s, active, pm.epoch)
 	pm.bwd.start(t, active, pm.epoch)
@@ -321,6 +343,7 @@ func (pm *PackMC) levelWork() int {
 // pm.fwd.nodes — the EstimateAll mode, where one sweep answers every
 // target.
 func (pm *PackMC) sweepPack(base, pack uint64, s uncertain.NodeID, active uint64) {
+	pm.ensureST()
 	pm.nextPack()
 	f := pm.fwd.start(s, active, pm.epoch)
 	pm.touched = append(pm.touched[:0], s)
@@ -439,18 +462,14 @@ func (pm *PackMC) edgeMaskFor(base, pack uint64, e uncertain.EdgeID, need uint64
 	return m
 }
 
-// MemoryBytes implements MemoryReporter: the graph-proportional scratch
-// of both sides, the worklists, and the per-query arena.
+// MemoryBytes implements MemoryReporter: the scratch the instance has
+// built — both search sides and the edge-mask cache once it has searched
+// or swept at 64 lanes, the wide sweep scratch once it has swept at 256
+// — plus the worklists and the per-query arena.
 func (pm *PackMC) MemoryBytes() int64 {
-	return packScratchBytes(pm.g.NumNodes(), pm.g.NumEdges()) +
+	return int64(len(pm.fwd.nodes)+len(pm.bwd.nodes))*(16+8) + int64(len(pm.edges))*24 +
+		int64(len(pm.qfix))*8 + pm.wideScratch.bytes() +
 		int64(cap(pm.fwd.queue)+cap(pm.bwd.queue)+cap(pm.touched))*4 + pm.scratch.MemoryBytes()
-}
-
-// packScratchBytes is the graph-proportional scratch of one PackMC: per
-// node a pack-state and a sent word on each side (2·(16+8) bytes), per
-// edge the pack-state and fixed-point probability (24+8 bytes).
-func packScratchBytes(n, m int) int64 {
-	return int64(n)*2*(16+8) + int64(m)*(24+8)
 }
 
 // Sampler implements IncrementalEstimator. The session fixes its stream
@@ -467,24 +486,57 @@ func (pm *PackMC) Sampler(s, t uncertain.NodeID) Sampler {
 	return &hitSampler{draw: func(lo, hi int) int { return pm.sampleLanes(base, s, t, lo, hi) }}
 }
 
-// AllSampler implements SourceSampler: the anytime form of EstimateAll.
-// Each Advance extends the shared pack sweep by the next lane range and
-// accumulates every reached node's per-world hit count, so after n total
-// samples SnapshotOf(t) is bit-identical to what EstimateAll(s, n)[t]
-// would report from the same (seed, round) state.
+// AllSampler implements SourceSampler: the anytime form of EstimateAll,
+// sweeping at 64 lanes. Each Advance extends the shared pack sweep by the
+// next lane range and accumulates every reached node's per-world hit
+// count, so after n total samples SnapshotOf(t) is bit-identical to what
+// EstimateAll(s, n)[t] would report from the same (seed, round) state.
 // The per-node counts live in the instance arena and are reused across
 // Advance chunks; like every arena allocation they are valid until the
 // instance's next query begins.
-func (pm *PackMC) AllSampler(s uncertain.NodeID) MultiSampler {
+func (pm *PackMC) AllSampler(s uncertain.NodeID) MultiSampler { return packSweep{pm, 64}.AllSampler(s) }
+
+// SweepAt returns pm as a SourceSampler whose source sweeps (EstimateAll,
+// AllSampler) run lanes worlds per traversal: 64, or 256 on the 4-word
+// kernel. Every other method, and every value, is pm's own; the width
+// only sets the cost, so a caller may pick it per call from measurement.
+func (pm *PackMC) SweepAt(lanes int) SourceSampler {
+	if lanes != 64 && lanes != 256 {
+		panic(fmt.Sprintf("core: PackMC sweeps at 64 or 256 lanes, not %d", lanes))
+	}
+	return packSweep{pm, lanes}
+}
+
+// packSweep is a PackMC whose source sweeps run at a fixed width.
+type packSweep struct {
+	*PackMC
+	lanes int
+}
+
+// AllSampler implements SourceSampler at the view's width.
+func (x packSweep) AllSampler(s uncertain.NodeID) MultiSampler {
+	pm := x.PackMC
 	mustValidQuery(pm.g, s, s, 1)
 	pm.round++
 	pm.scratch.Reset()
-	base := mix(pm.seed, pm.round, 0)
+	base, wide := mix(pm.seed, pm.round, 0), x.lanes == 256
 	return &countSampler{
 		s:      s,
 		counts: pm.scratch.Int64s(pm.g.NumNodes()),
-		sweep:  func(lo, hi int, counts []int64) { pm.accumulateAll(base, s, lo, hi, counts) },
+		sweep: func(lo, hi int, counts []int64) {
+			if wide {
+				pm.accumulateWide(base, s, lo, hi, counts)
+			} else {
+				pm.accumulateAll(base, s, lo, hi, counts)
+			}
+		},
 	}
+}
+
+// EstimateAll implements SourceEstimator at the view's width.
+func (x packSweep) EstimateAll(s uncertain.NodeID, k int) []float64 {
+	mustValidQuery(x.g, s, s, k)
+	return estimateAll(x.AllSampler(s), k)
 }
 
 var (
@@ -537,11 +589,13 @@ func (p *ParallelPackMC) Estimate(s, t uncertain.NodeID, k int) float64 {
 	return estimateOnce(p.Sampler(s, t), k)
 }
 
-// MemoryBytes implements MemoryReporter: one worker kernel's scratch per
-// worker, computed arithmetically rather than by allocating a probe
-// instance.
+// MemoryBytes implements MemoryReporter: one worker kernel's s-t scratch
+// per worker — per node a pack-state and a sent word on each side
+// (2·(16+8) bytes), per edge the pack-state and fixed-point probability
+// (24+8 bytes), and both worklists — computed arithmetically rather than
+// by allocating a probe instance.
 func (p *ParallelPackMC) MemoryBytes() int64 {
-	per := packScratchBytes(p.g.NumNodes(), p.g.NumEdges()) + 2*packQueueCap*4
+	per := int64(p.g.NumNodes())*2*(16+8) + int64(p.g.NumEdges())*(24+8) + 2*packQueueCap*4
 	return per * int64(p.workers)
 }
 

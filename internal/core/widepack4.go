@@ -7,14 +7,25 @@ import (
 	"relcomp/internal/uncertain"
 )
 
-// This file is the unrolled source-sweep kernel: one [4]uint64 lane group
-// per node and edge, every word-group operation written as four scalar
-// expressions so the masks live in registers, with a single interleaved
-// cache line per node (mask+sent) and per edge (mask+decided). Both
-// WidePackMC widths sweep here. It serves EstimateAll and AllSampler
-// only; s-t queries run PackMC's bidirectional search.
+// This file is PackMC's 256-lane source-sweep kernel: one [4]uint64 lane
+// group per node and edge, every word-group operation written as four
+// scalar expressions so the masks live in registers, with a single
+// interleaved cache line per node (mask+sent) and per edge
+// (mask+decided). One wide sweep does the work of 4 consecutive 64-lane
+// packs: the worklist is walked once, each node's CSR row is scanned
+// once, and each edge's epoch is checked once for the whole group, so the
+// per-pack bookkeeping that dominates a 64-lane sweep on mid-probability
+// graphs is amortized 4-fold. It serves source sweeps only; s-t queries
+// run the 64-lane bidirectional search.
 //
-// The sweep has two modes. Sparse: PackMC's cascading worklist — cost
+// Bit-identity: word ww of wide pack J is 64-world pack j = J·4 + ww, and
+// draws its edge masks from the exact counter stream the 64-lane kernel's
+// pack j uses — key mix(base, j, edge) — restricted to the same active
+// lanes. Per-lane outcomes are therefore identical at both widths, for
+// any traversal order, chunking, or sharding (asserted by the package's
+// width-identity tests).
+//
+// The sweep has two modes. Sparse: the cascading worklist — cost
 // proportional to the frontier, nodes processed in discovery order,
 // re-pushed whenever their mask grows. Dense: once the worklist backlog
 // crosses pm.denseThreshold, the remaining cascade runs
@@ -31,15 +42,126 @@ import (
 // exactly them, and growth is always a subset of a sender's mask — so the
 // kernels never re-mask by active.
 
+// wideScratch is the 256-lane kernel's pack-local state, allocated on the
+// first wide sweep, so an instance that never sweeps at 256 lanes carries
+// none of it.
+//
+// nstamp packs a node's two stamps into one word — low half "mask is
+// valid this pack", high half "node is in the sparse worklist" — so a
+// neighbor probe resolves both with a single cache line. Edge state
+// (edgeEpoch, qslot, edges4) is indexed by out-CSR SLOT, not edge id: a
+// node scan then touches its edge state sequentially, and the
+// insertion-ordered edge id — which only the counter-stream key needs —
+// is loaded from the CSR solely on the probes that draw. qslot repeats
+// the s-t kernel's per-edge qfix in slot order for the same reason: read
+// by edge id it cost ~6% per DBLP_0.2 sweep.
+type wideScratch struct {
+	nstamp    []uint64
+	edgeEpoch []uint32
+	qslot     []uint64 // per-slot probability in rng.FixedProb fixed point
+	nodes4    []wideNode4
+	edges4    []wideEdge4
+	queue     []uncertain.NodeID
+
+	// Dense-mode frontier bitmaps, one bit per node. A dense sweep runs
+	// to its fixpoint, which leaves both empty for the next switch.
+	frontier     []uint64
+	nextFrontier []uint64
+}
+
+// bytes is the memory the wide scratch holds.
+func (w *wideScratch) bytes() int64 {
+	return int64(len(w.nstamp)+len(w.qslot)+len(w.frontier)+len(w.nextFrontier))*8 +
+		int64(len(w.edgeEpoch))*4 + int64(len(w.nodes4)+len(w.edges4))*64 + int64(cap(w.queue))*4
+}
+
+// wideNode4 is a node's 256-lane pack state: reachability mask and
+// already-propagated lanes, interleaved into one 64-byte cache line.
+type wideNode4 struct {
+	mask [4]uint64
+	sent [4]uint64
+}
+
+// wideEdge4 is an edge's 256-lane pack state: existence mask and the
+// lanes drawn so far, one 64-byte line.
+type wideEdge4 struct {
+	mask [4]uint64
+	dec  [4]uint64
+}
+
+// denseSwitchDen sets the default dense-switch threshold to
+// NumNodes/denseSwitchDen: only a backlog of half the graph means the
+// cascade is dense enough that level-synchronous bitmap sweeps (one visit
+// per node per level, sequential access) beat cascading re-pushes. Lower
+// switch points looked attractive on uniform random graphs but lose on
+// power-law datasets, where even a wide cascade leaves most bitmap words
+// empty.
+const denseSwitchDen = 2
+
+// mixGolden and mixMul1 are mix's epoch and worker multipliers
+// (parallel.go); the kernel exploits that consecutive word indices of one
+// edge differ by +mixGolden in mix's pre-finalizer state, so a wide
+// edge draw combines the key once and pays only the finalizer per word.
+const (
+	mixGolden = 0x9e3779b97f4a7c15
+	mixMul1   = 0xbf58476d1ce4e5b9
+)
+
+// mixFinal is mix's splitmix64 finalizer: mix(seed, epoch, worker) ==
+// mixFinal(seed + mixGolden·epoch + mixMul1·worker + 1).
+func mixFinal(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// accumulateWide sweeps the lane range [lo, hi) in 4-word groups and adds
+// every touched node's per-world hit count into counts.
+func (pm *PackMC) accumulateWide(base uint64, s uncertain.NodeID, lo, hi int, counts []int64) {
+	for j := lo >> 6; j*64 < hi; {
+		wp := j / 4
+		var active [4]uint64
+		for ; j < (wp+1)*4 && j*64 < hi; j++ {
+			active[j-wp*4] = laneMask(j, lo, hi)
+		}
+		pm.runWide4(base, uint64(wp)*4, s, &active)
+		for _, v := range pm.touched {
+			nm := &pm.nodes4[v].mask
+			counts[v] += int64(bits.OnesCount64(nm[0]) + bits.OnesCount64(nm[1]) +
+				bits.OnesCount64(nm[2]) + bits.OnesCount64(nm[3]))
+		}
+	}
+}
+
+// ensureWide builds the wide scratch on the first 256-lane sweep.
+func (pm *PackMC) ensureWide() {
+	if pm.nstamp != nil {
+		return
+	}
+	g := pm.g
+	n, m := g.NumNodes(), g.NumEdges()
+	pm.nstamp = make([]uint64, n)
+	pm.edgeEpoch = make([]uint32, m)
+	pm.qslot = make([]uint64, m)
+	for v := 0; v < n; v++ {
+		lo, _ := g.OutSpan(uncertain.NodeID(v))
+		for i, p := range g.OutProbs(uncertain.NodeID(v)) {
+			pm.qslot[lo+i] = rng.FixedProb(p)
+		}
+	}
+	pm.nodes4 = make([]wideNode4, n)
+	pm.edges4 = make([]wideEdge4, m)
+	pm.queue = make([]uncertain.NodeID, 0, packQueueCap)
+	pm.frontier = make([]uint64, (n+63)/64)
+	pm.nextFrontier = make([]uint64, (n+63)/64)
+}
+
 // runWide4 propagates one 4-word pack group from s, whose 64-world packs
 // start at packBase, to its fixpoint, and records every stamped node in
 // pm.touched with its word group left in pm.nodes4.
-func (pm *WidePackMC) runWide4(base, packBase uint64, s uncertain.NodeID, active *[4]uint64) {
+func (pm *PackMC) runWide4(base, packBase uint64, s uncertain.NodeID, active *[4]uint64) {
 	g := pm.g
-	if pm.nodes4 == nil {
-		pm.nodes4 = make([]wideNode4, g.NumNodes())
-		pm.edges4 = make([]wideEdge4, g.NumEdges())
-	}
+	pm.ensureWide()
 	pm.nextPack()
 	ep := pm.epoch
 	epq := uint64(ep)<<32 | uint64(ep) // stamped and queued
@@ -55,7 +177,7 @@ func (pm *WidePackMC) runWide4(base, packBase uint64, s uncertain.NodeID, active
 			// The frontier went dense: hand the backlog to the
 			// level-synchronous bitmap mode and finish the pack there.
 			pm.queue = q
-			cur, next := pm.ensureFrontier()
+			cur, next := pm.frontier, pm.nextFrontier
 			for _, u := range q[head:] {
 				cur[uint32(u)>>6] |= 1 << (uint32(u) & 63)
 			}
@@ -126,7 +248,7 @@ func (pm *WidePackMC) runWide4(base, packBase uint64, s uncertain.NodeID, active
 // and mask growth sets bits in next instead of pushing queue entries.
 // Levels repeat until no mask grows — the cascade's fixpoint, where both
 // bitmaps are empty again.
-func (pm *WidePackMC) denseWide4(base, packBase uint64, cur, next []uint64) {
+func (pm *PackMC) denseWide4(base, packBase uint64, cur, next []uint64) {
 	g := pm.g
 	ep := pm.epoch
 	nodes := pm.nodes4
@@ -212,7 +334,7 @@ func (pm *WidePackMC) denseWide4(base, packBase uint64, cur, next []uint64) {
 // data-independent, so the fused loop pipelines their splitmix chains, and
 // its over-decided lanes (identical to what a replay would produce) widen
 // dec so cascading probes rarely redraw.
-func (pm *WidePackMC) drawEdge4(base, packBase uint64, e uncertain.EdgeID, slot int, n0, n1, n2, n3 uint64) {
+func (pm *PackMC) drawEdge4(base, packBase uint64, e uncertain.EdgeID, slot int, n0, n1, n2, n3 uint64) {
 	ee := &pm.edges4[slot]
 	if pm.edgeEpoch[slot] != pm.epoch {
 		*ee = wideEdge4{}
@@ -236,5 +358,5 @@ func (pm *WidePackMC) drawEdge4(base, packBase uint64, e uncertain.EdgeID, slot 
 	z2 := z1 + mixGolden
 	z3 := z2 + mixGolden
 	rng.MaskAtFixed4(mixFinal(z0), mixFinal(z1), mixFinal(z2), mixFinal(z3),
-		pm.qfix[slot], &need, &ee.mask, &ee.dec)
+		pm.qslot[slot], &need, &ee.mask, &ee.dec)
 }

@@ -345,13 +345,14 @@ func TestMemoryBytesWide(t *testing.T) {
 // TestWidePackMCSTLeavesWideScratchUnallocated checks that s-t queries at
 // a wide width run on the 64-lane kernel alone: Estimate, Sampler and
 // Advance allocate none of the wide sweep scratch, answer as PackMC does,
-// and MemoryBytes counts the s-t kernel they built and no sweep scratch.
+// and MemoryBytes grows by exactly what a PackMC that answered the same
+// queries holds, with no sweep scratch.
 func TestWidePackMCSTLeavesWideScratchUnallocated(t *testing.T) {
 	g := wideTestGraph(200, 1200, 0.2, 0.6, 5)
 	s, tgt := uncertain.NodeID(0), uncertain.NodeID(g.NumNodes()-1)
 	narrow := NewPackMC(g, 31)
 	wide := NewWidePackMC(g, 31, 512)
-	wide.SetDenseThreshold(1) // a sweep would switch to the bitmaps at once
+	wide.denseThreshold = 1 // a sweep would switch to the bitmaps at once
 	before := wide.MemoryBytes()
 	if stamps := int64(g.NumNodes()) * 8; before >= stamps {
 		t.Fatalf("fresh instance reports %d B, at least the sweep stamps' %d", before, stamps)
@@ -373,11 +374,11 @@ func TestWidePackMCSTLeavesWideScratchUnallocated(t *testing.T) {
 		t.Fatalf("s-t queries allocated wide scratch: nodes4 %v edges4 %v frontier %v",
 			wide.nodes4 != nil, wide.edges4 != nil, wide.frontier != nil)
 	}
-	if wide.nstamp != nil || wide.edgeEpoch != nil || wide.qfix != nil {
-		t.Fatalf("s-t queries built sweep state: nstamp %v edgeEpoch %v qfix %v",
-			wide.nstamp != nil, wide.edgeEpoch != nil, wide.qfix != nil)
+	if wide.nstamp != nil || wide.edgeEpoch != nil || wide.qslot != nil {
+		t.Fatalf("s-t queries built sweep state: nstamp %v edgeEpoch %v qslot %v",
+			wide.nstamp != nil, wide.edgeEpoch != nil, wide.qslot != nil)
 	}
-	if grew, st := wide.MemoryBytes()-before, wide.st.MemoryBytes(); grew != st {
+	if grew, st := wide.MemoryBytes()-before, narrow.MemoryBytes(); grew != st {
 		t.Fatalf("MemoryBytes grew %d after s-t queries, want exactly the s-t kernel's %d", grew, st)
 	}
 }

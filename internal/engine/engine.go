@@ -32,9 +32,10 @@
 //     (QueryGraphEach) expands the source-side bag chain once for every
 //     target of a source, and one pack sweep (AllSampler) serves every
 //     target of a source from the same counter-seeded world ensemble its
-//     single queries draw. A fixed-budget pack group whose targets are
-//     measured cheaper to search one by one runs as per-query units
-//     instead (router.searchEach).
+//     single queries draw, at whichever width (64 or 256 lanes) is
+//     measured cheaper (router.sweepWidth). A fixed-budget pack group
+//     whose targets are measured clearly cheaper to search one by one
+//     runs as per-query units instead (router.searchEach).
 //     Duplicate queries in one call are computed once.
 //   - Result caching: a bounded LRU keyed by (s, t, estimator, k, ε) with
 //     hit/miss/eviction counters (cache.go).
@@ -83,11 +84,11 @@ const BoundsName = "bounds"
 
 // DefaultEstimators lists the estimators an engine builds when Config
 // leaves the set empty: the paper's six, in table order, plus the
-// word-packed PackMC under each of its width names (64/256/512, which
-// return the same values; PackMC sweeps a source 64 lanes at a time, the
-// two wide names 256) and the multi-core ParallelMC / ParallelPackMC
-// extensions. When PackMC is built it is the only pack width the router
-// may pick.
+// word-packed PackMC under its three names (PackMC, PackMC256,
+// PackMC512) and the multi-core ParallelMC / ParallelPackMC extensions.
+// The pack names share one replica pool and differ only in the stream
+// seed a query draws: every source sweep runs at the width measured
+// cheaper, whatever the name. Of the three, only PackMC is routed.
 func DefaultEstimators() []string {
 	return []string{"MC", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS", "PackMC", "PackMC256", "PackMC512", "ParallelMC", "ParallelPackMC"}
 }
@@ -314,18 +315,16 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	// routing: steering adaptive traffic at a single-replica pool would
 	// serialize concurrent queries behind one instance — exactly the
 	// bottleneck the engine exists to remove. They stay reachable by
-	// explicit request. The pack widths give bit-identical values for one
-	// seed, so when PackMC is built it is their only candidate: routing to
-	// several widths would grow a pool, each replica with its own kernel
-	// scratch, per width for no gain. Every width answers s-t through the
-	// same 64-lane bidirectional search, and PackMC's replicas carry no
-	// wide sweep scratch.
-	_, routeOnePack := st.pools[packName]
+	// explicit request. Names that share a pool (the pack names) cost the
+	// same, so only the first configured one is a candidate.
 	var candidates []string
+	seen := make(map[*pool]bool, len(e.names))
 	for _, name := range e.names {
-		if st.pools[name].capacity < cfg.Workers || routeOnePack && packLike(name) && name != packName {
+		p := st.pools[name]
+		if p.capacity < cfg.Workers || seen[p] {
 			continue
 		}
+		seen[p] = true
 		candidates = append(candidates, name)
 	}
 	if len(candidates) == 0 {
@@ -363,8 +362,8 @@ func factoryFor(name string, g *uncertain.Graph, seed uint64, workers int, bfsIx
 		return func() core.Estimator { return core.NewRHH(g, seed) }, nil
 	case "RSS":
 		return func() core.Estimator { return core.NewRSS(g, seed) }, nil
-	case "PackMC", pack256Name, pack512Name:
-		return func() core.Estimator { return newPackLike(name, g, seed) }, nil
+	case packName, pack256Name, pack512Name:
+		return func() core.Estimator { return core.NewPackMC(g, seed) }, nil
 	case "ParallelMC":
 		return func() core.Estimator { return core.NewParallelMC(g, seed, workers) }, nil
 	case "ParallelPackMC":
@@ -485,10 +484,10 @@ func (e *Engine) validate(st *epochState, q Request) error {
 		case q.Estimator == "":
 		case !q.Evidence.Empty():
 			if !packLike(q.Estimator) {
-				return fmt.Errorf("engine: estimator %q cannot honor per-request evidence for %s (use a PackMC width or omit the estimator)", q.Estimator, q.kind())
+				return fmt.Errorf("engine: estimator %q cannot honor per-request evidence for %s (use a PackMC name or omit the estimator)", q.Estimator, q.kind())
 			}
 		case q.Estimator != sharedName && !packLike(q.Estimator):
-			return fmt.Errorf("engine: %s queries need a multi-target estimator (BFSSharing or a PackMC width); %q is not one", q.kind(), q.Estimator)
+			return fmt.Errorf("engine: %s queries need a multi-target estimator (BFSSharing or a PackMC name); %q is not one", q.kind(), q.Estimator)
 		default:
 			if _, ok := st.pools[q.Estimator]; !ok {
 				return fmt.Errorf("engine: estimator %q not configured", q.Estimator)
@@ -708,7 +707,7 @@ func (e *Engine) compute(ctx context.Context, st *epochState, name string, q Que
 	// weighs against a sweep.
 	e.router.observe(servedBy(name), res.Latency.Seconds())
 	if packLike(name) && q.Eps == 0 && dl.IsZero() {
-		e.router.observeSearch(name, res.Latency.Seconds()/float64(q.K))
+		e.router.observeSearch(res.Latency.Seconds() / float64(q.K))
 	}
 	e.record(name, res.Latency.Seconds(), false)
 }
@@ -886,24 +885,13 @@ func servedBy(name string) string {
 	return name
 }
 
-// packLike reports whether name is a world-packed kernel at any lane
-// width. All three share PackMC's counter-based stream properties: the
-// target-less query seed, the amortized source-session batch path, and
-// evidence capability (index-free, O(n) construction per overlay).
+// packLike reports whether name is one of the pack names. All three run
+// on PackMC replicas from one pool and share its counter-based stream
+// properties: the target-less query seed, the amortized source-session
+// batch path, and evidence capability (index-free, O(n) construction per
+// overlay). The name enters only the query seed.
 func packLike(name string) bool {
 	return name == packName || name == pack256Name || name == pack512Name
-}
-
-// newPackLike builds the named world-packed kernel over g.
-func newPackLike(name string, g *uncertain.Graph, seed uint64) core.Estimator {
-	switch name {
-	case pack256Name:
-		return core.NewWidePackMC(g, seed, 256)
-	case pack512Name:
-		return core.NewWidePackMC(g, seed, 512)
-	default:
-		return core.NewPackMC(g, seed)
-	}
 }
 
 // groupable reports whether name's batch queries are amortized per
@@ -1098,7 +1086,7 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 	for j, gk := range shared.order {
 		idxs := shared.groups[j]
 		if packLike(gk.key.est) && gk.key.eps == 0 && gk.deadline == 0 && !ctxDeadline &&
-			e.router.searchEach(gk.key.est, distinctTargets(exec, idxs)) {
+			e.router.searchEach(distinctTargets(exec, idxs)) {
 			for _, i := range idxs {
 				gk.key.t = exec[i].T
 				single.add(gk, i)
@@ -1327,23 +1315,26 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 				res.Reliability, res.SamplesUsed = est.EstimateSpliced(sq, k), k
 			})
 		case core.SourceSampler:
-			// Pack widths reseed target-less exactly as runOne does; the BFS
+			// Pack names reseed target-less exactly as runOne does; the BFS
 			// querier has no per-query stream (its worlds are the index's).
 			if sd, ok := est.(core.Seeder); ok {
 				sd.Reseed(e.querySeedFor(name, s, s, k))
 			}
-			ms := est.AllSampler(s)
-			if anytime {
-				for i, ar := range core.AdaptiveEstimateAll(ms, missTargets, opts) {
-					e.fillAnytime(ctx, &results[misses[i][0]], k, ar)
+			e.sweep(est, func(ss core.SourceSampler) int {
+				ms := ss.AllSampler(s)
+				if anytime {
+					for i, ar := range core.AdaptiveEstimateAll(ms, missTargets, opts) {
+						e.fillAnytime(ctx, &results[misses[i][0]], k, ar)
+					}
+					return ms.N()
 				}
-				break
-			}
-			ms.Advance(k)
-			for i, t := range missTargets {
-				res := &results[misses[i][0]]
-				res.Reliability, res.SamplesUsed = ms.SnapshotOf(t).Estimate, k
-			}
+				ms.Advance(k)
+				for i, t := range missTargets {
+					res := &results[misses[i][0]]
+					res.Reliability, res.SamplesUsed = ms.SnapshotOf(t).Estimate, k
+				}
+				return k
+			})
 		default:
 			panic(fmt.Sprintf("engine: estimator %q grouped without an amortized path", name))
 		}
@@ -1365,9 +1356,6 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 	// adaptive query routed here would pay all of it.
 	share := elapsed / time.Duration(len(missTargets))
 	e.router.observe(name, elapsed.Seconds())
-	if packLike(name) && !anytime {
-		e.router.observeSweep(name, elapsed.Seconds()/float64(k))
-	}
 	for i, grp := range misses {
 		res := &results[grp[0]]
 		res.Latency = share
@@ -1379,13 +1367,31 @@ func (e *Engine) runShared(ctx context.Context, st *epochState, u workUnit, quer
 	}
 }
 
+// sweep runs one source sweep on ss: on a pack replica at the width the
+// router picks, feeding that width's cost per drawn sample back, and on
+// any other source estimator (the BFS querier) as it is. run returns the
+// samples it drew.
+func (e *Engine) sweep(ss core.SourceSampler, run func(core.SourceSampler) int) {
+	pm, ok := ss.(*core.PackMC)
+	if !ok {
+		run(ss)
+		return
+	}
+	lanes := e.router.sweepWidth()
+	start := time.Now()
+	if n := run(pm.SweepAt(lanes)); n > 0 {
+		e.router.observeSweep(lanes, time.Since(start).Seconds()/float64(n))
+	}
+}
+
 // Do borrows an instance of the named estimator for fn's exclusive use —
 // the escape hatch for advanced queries (top-k, single-source) that need
 // the concrete estimator rather than one Estimate call. The instance is
 // reseeded before fn runs, so a borrowed sampling estimator's stream
 // depends only on the engine seed, never on the queries the replica
-// happened to serve earlier. The plan name routed answers report
-// (planName) borrows a PackMC replica that runs the plan.
+// happened to serve earlier. The pack names lend a PackMC replica, and
+// the plan name routed answers report (planName) borrows one that runs
+// the plan.
 //
 // fn must not call back into the engine for the same estimator: it holds
 // one of a bounded pool of replicas, and on a single-replica pool

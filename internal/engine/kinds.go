@@ -260,8 +260,9 @@ func (e *Engine) runScalar(ctx context.Context, q Request, sp core.Sampler, anyt
 
 // runSourceRooted answers top-k and single-source: one shared multi-target
 // traversal on a SourceSampler estimator — the pooled BFS Sharing querier
-// over the shared index, the pooled PackMC, or an index-free PackMC built
-// over the evidence overlay.
+// over the shared index, a pooled PackMC replica, or an index-free PackMC
+// built over the evidence overlay. A pack traversal sweeps at the width
+// measured cheaper (Engine.sweep).
 func (e *Engine) runSourceRooted(ctx context.Context, st *epochState, name string, g *uncertain.Graph, q Request, anytime bool, opts core.AdaptiveOptions, res *Response) {
 	if q.Evidence.Empty() {
 		p := st.pools[name]
@@ -272,9 +273,9 @@ func (e *Engine) runSourceRooted(ctx context.Context, st *epochState, name strin
 		}
 		return
 	}
-	// Under evidence, validate restricted name to a PackMC width; build the
-	// index-free kernel at that width over the overlay.
-	inst := newPackLike(name, g, replicaSeed(e.cfg.Seed, name))
+	// Under evidence, validate restricted name to a pack name; build the
+	// index-free kernel over the overlay.
+	inst := core.NewPackMC(g, replicaSeed(e.cfg.Seed, name))
 	e.sourceRootedOn(ctx, name, g, q, inst, anytime, opts, res)
 }
 
@@ -294,43 +295,46 @@ func (e *Engine) sourceRootedOn(ctx context.Context, name string, g *uncertain.G
 		res.Err = fmt.Errorf("engine: estimator %q has no multi-target traversal", name)
 		return
 	}
-	if q.kind() == KindTopK {
-		if !anytime {
-			top, err := core.TopKReliableTargets(ss, g, q.S, q.TopK, q.K)
-			if err != nil {
-				res.Err = err
-				return
+	e.sweep(ss, func(ss core.SourceSampler) int {
+		if q.kind() == KindTopK {
+			if !anytime {
+				top, err := core.TopKReliableTargets(ss, g, q.S, q.TopK, q.K)
+				if err != nil {
+					res.Err = err
+					return 0
+				}
+				res.TopTargets = top
+				res.SamplesUsed = q.K
+				return q.K
 			}
-			res.TopTargets = top
+			tk := core.AdaptiveTopK(ss.AllSampler(q.S), otherNodes(g, q.S), q.TopK, opts)
+			res.TopTargets = tk.Top
+			e.fillAnytime(ctx, res, q.K, core.AdaptiveResult{Samples: tk.Samples, Reason: tk.Reason})
+			return tk.Samples
+		}
+		// Single-source.
+		if !anytime {
+			res.Reliabilities = ss.EstimateAll(q.S, q.K)
 			res.SamplesUsed = q.K
-			return
+			return q.K
 		}
-		tk := core.AdaptiveTopK(ss.AllSampler(q.S), otherNodes(g, q.S), q.TopK, opts)
-		res.TopTargets = tk.Top
-		e.fillAnytime(ctx, res, q.K, core.AdaptiveResult{Samples: tk.Samples, Reason: tk.Reason})
-		return
-	}
-	// Single-source.
-	if !anytime {
-		res.Reliabilities = ss.EstimateAll(q.S, q.K)
-		res.SamplesUsed = q.K
-		return
-	}
-	targets := otherNodes(g, q.S)
-	ars := core.AdaptiveEstimateAll(ss.AllSampler(q.S), targets, opts)
-	all := make([]float64, g.NumNodes())
-	all[q.S] = 1
-	maxSamples := 0
-	reason := core.StopEps
-	for i, ar := range ars {
-		all[targets[i]] = ar.Estimate
-		if ar.Samples > maxSamples {
-			maxSamples = ar.Samples
+		targets := otherNodes(g, q.S)
+		ars := core.AdaptiveEstimateAll(ss.AllSampler(q.S), targets, opts)
+		all := make([]float64, g.NumNodes())
+		all[q.S] = 1
+		maxSamples := 0
+		reason := core.StopEps
+		for i, ar := range ars {
+			all[targets[i]] = ar.Estimate
+			if ar.Samples > maxSamples {
+				maxSamples = ar.Samples
+			}
+			reason = worseReason(reason, ar.Reason)
 		}
-		reason = worseReason(reason, ar.Reason)
-	}
-	res.Reliabilities = all
-	e.fillAnytime(ctx, res, q.K, core.AdaptiveResult{Samples: maxSamples, Reason: reason})
+		res.Reliabilities = all
+		e.fillAnytime(ctx, res, q.K, core.AdaptiveResult{Samples: maxSamples, Reason: reason})
+		return maxSamples
+	})
 }
 
 // otherNodes lists every node except s — the candidate (or target) set of
@@ -366,7 +370,7 @@ func worseReason(a, b core.StopReason) core.StopReason {
 func (e *Engine) overlayEstimator(name string, g *uncertain.Graph, q Request) core.Estimator {
 	seed := e.kindSeed(name, q)
 	if packLike(name) {
-		return newPackLike(name, g, seed)
+		return core.NewPackMC(g, seed)
 	}
 	return core.NewMC(g, seed)
 }

@@ -25,13 +25,15 @@ import (
 // (after mutations, or on graphs where lazy propagation degenerates)
 // moves traffic within a few horizons.
 //
-// The pack widths give bit-identical values for one seed and share one
-// s-t search, so newEngine makes only PackMC, the width with no wide
-// sweep scratch, a candidate when it is built. Routed answers draw
-// exactly their k; RSS overdraws (5.7x at k=200 on DBLP_0.2), which is
-// why its error at equal k is lower than pack's (RMSE .009 against .017).
-// At equal drawn samples the two are equivalent, so routing by cost gives
-// up no accuracy the budget paid for.
+// Routed answers report k samples but not all draw exactly k: RSS
+// overdraws (5.7x at k=200 on DBLP_0.2, hence its lower error at equal k),
+// and the two-phase pack plan (PackMC2P) draws a pilot, up to 4k shallow
+// phase-1 worlds and the open worlds it finishes, sized to be about as
+// accurate as the plain pack at k. So routing by cost gives up no
+// accuracy the budget paid for.
+//
+// The router also plans pack sweeps by measured cost: the width each runs
+// at (sweepWidth), and whether a fixed-k group sweeps at all (searchEach).
 type router struct {
 	cutoff     float64  // bounds width below which no sampling is needed
 	candidates []string // estimator names the router may pick, engine order
@@ -59,12 +61,16 @@ type router struct {
 	boundsRuns uint64                 // bounds computations (memo misses)
 	boundsSecs float64                // wall-clock seconds those took in total
 
-	// sweeps and searches hold each pack width's measured cost per sample
-	// of a fixed-k source sweep (a batch group's source session) and of one
-	// fixed-k s-t search; searchEach weighs them for batch groups.
-	sweeps   map[string]latencyMean
-	searches map[string]latencyMean
+	// sweeps holds the measured cost per drawn sample of a pack source
+	// sweep, keyed by width (sweepWidths), and search that of one fixed-k
+	// pack s-t search; sweepWidth and searchEach read them.
+	sweeps map[int]latencyMean
+	search latencyMean
 }
+
+// sweepWidths are the widths a pack source sweep runs at
+// (core.PackMC.SweepAt), in the order unmeasured widths are tried.
+var sweepWidths = [...]int{64, 256}
 
 // memoBounds is one bounds-memo entry. full reports that lo is the full
 // lower bound, not one whose rounds stopped once the pinch was ruled out.
@@ -96,8 +102,7 @@ func newRouter(candidates []string, cutoff float64, memoSize int) *router {
 		memo:       newLRUCache[memoBounds](memoSize),
 		latency:    make(map[string]latencyMean, len(candidates)),
 		routed:     make(map[string]uint64, len(candidates)),
-		sweeps:     make(map[string]latencyMean),
-		searches:   make(map[string]latencyMean),
+		sweeps:     make(map[int]latencyMean, len(sweepWidths)),
 	}
 }
 
@@ -214,17 +219,9 @@ func (r *router) memoStats() CacheStats { return r.memo.stats() }
 func (r *router) pick() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	best, bestScore := "", 0.0
-	for _, name := range r.candidates {
-		lat, measured := r.latency[name]
-		if !measured {
-			return name
-		}
-		score := lat.secs / (1 + exploreWeight/math.Sqrt(float64(lat.n)))
-		if best == "" || score < bestScore {
-			best, bestScore = name, score
-		}
-	}
+	best, _, _ := lowest(r.candidates, r.latency, true, func(lat latencyMean) float64 {
+		return lat.secs / (1 + exploreWeight/math.Sqrt(float64(lat.n)))
+	})
 	return best
 }
 
@@ -234,14 +231,34 @@ func (r *router) pick() string {
 func (r *router) cheapest() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	best, bestSecs := r.candidates[0], math.Inf(1)
-	for _, name := range r.candidates {
-		if lat, measured := r.latency[name]; measured && lat.secs < bestSecs {
-			best, bestSecs = name, lat.secs
+	if best, _, ok := lowest(r.candidates, r.latency, false, meanSecs); ok {
+		return best
+	}
+	return r.candidates[0]
+}
+
+// lowest returns the key whose row in rows scores lowest, and that score,
+// skipping keys with no row; ok is false while no key has one. With
+// explore set, the first key with no row is returned outright, so that
+// every key gets measured before any comparison.
+func lowest[K comparable](keys []K, rows map[K]latencyMean, explore bool, score func(latencyMean) float64) (best K, bestScore float64, ok bool) {
+	for _, k := range keys {
+		lat, measured := rows[k]
+		if !measured {
+			if explore {
+				return k, 0, false
+			}
+			continue
+		}
+		if s := score(lat); !ok || s < bestScore {
+			best, bestScore, ok = k, s, true
 		}
 	}
-	return best
+	return best, bestScore, ok
 }
+
+// meanSecs scores a row by its mean cost.
+func meanSecs(lat latencyMean) float64 { return lat.secs }
 
 // notePinched counts one more bounds-answered query.
 func (r *router) notePinched() {
@@ -276,39 +293,58 @@ func (lat latencyMean) add(seconds float64) latencyMean {
 	return lat
 }
 
-// observeSweep feeds one fixed-k source sweep's cost per sample into pack
-// width name's sweep estimate.
-func (r *router) observeSweep(name string, secsPerSample float64) {
+// observeSweep feeds one pack source sweep's cost per drawn sample into
+// its width's row.
+func (r *router) observeSweep(lanes int, secsPerSample float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sweeps[name] = r.sweeps[name].add(secsPerSample)
+	r.sweeps[lanes] = r.sweeps[lanes].add(secsPerSample)
 }
 
-// observeSearch feeds one fixed-k s-t search's cost per sample into pack
-// width name's search estimate.
-func (r *router) observeSearch(name string, secsPerSample float64) {
+// observeSearch feeds one fixed-k pack s-t search's cost per sample into
+// the search row.
+func (r *router) observeSearch(secsPerSample float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.searches[name] = r.searches[name].add(secsPerSample)
+	r.search = r.search.add(secsPerSample)
 }
 
-// searchEach reports whether a fixed-k batch group of n distinct targets
-// on pack width name is cheaper answered as n s-t searches than as one
-// source sweep, by the measured cost of each. Costs are per sample, so
-// measurements at one budget carry over to another. Until a sweep is
-// measured groups sweep; once one is, a width with no search measured
-// yet searches, so that both get measured. After that the sweep figure
-// is renewed by the groups that still sweep — the larger ones — which
-// keeps it fresh where the choice turns.
-func (r *router) searchEach(name string, n int) bool {
+// sweepWidth returns the width the next pack source sweep runs at: the
+// first width with no measurement, and once both are measured the one
+// with the lower cost per sample. The widths return identical values,
+// so the choice moves only the cost.
+func (r *router) sweepWidth() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sweep, swept := r.sweeps[name]
-	search, searched := r.searches[name]
-	if !swept || !searched {
+	w, _, _ := lowest(sweepWidths[:], r.sweeps, true, meanSecs)
+	return w
+}
+
+// searchMargin is how much cheaper n measured searches must be than the
+// sweep before a group searches. A searching group becomes n per-query
+// units, each queued, reseeded and cached on its own, which the search
+// row (the estimator call alone) does not see. The margin also keeps a
+// near-tie from being settled by noise: each plan's row is renewed only
+// while that plan runs, so without it the first measurements of a run
+// decided whether all its later groups swept or searched.
+const searchMargin = 1.25
+
+// searchEach reports whether a fixed-k pack group of n distinct targets
+// is clearly cheaper answered as n s-t searches than as one source sweep
+// at the cheaper width (by searchMargin). Costs are per sample, so
+// measurements at one budget carry over to another. Until every width has
+// a sweep measured groups sweep; then the next group searches if no
+// search is measured yet, so that every plan gets measured. After that
+// the sweep figures are renewed by the groups that still sweep — the
+// larger ones — which keeps them fresh where the choice turns.
+func (r *router) searchEach(n int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, sweep, swept := lowest(sweepWidths[:], r.sweeps, true, meanSecs)
+	if !swept || r.search.n == 0 {
 		return swept
 	}
-	return float64(n)*search.secs < sweep.secs
+	return float64(n)*r.search.secs*searchMargin < sweep
 }
 
 // snapshot returns the per-estimator routing counts, latency estimates in

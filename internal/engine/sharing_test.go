@@ -174,9 +174,9 @@ func TestGroupedBatchMatchesSingleLargeGroup(t *testing.T) {
 // TestPackGroupSweepsOrSearchesByCost drives one fixed-k pack group
 // through both sides of the router's sweep-or-search choice and checks
 // that each side runs (by the cost samples it leaves) and that both
-// answer exactly as single queries do. A fresh engine sweeps first, then
-// searches once so both costs are measured; after that the measured costs
-// decide.
+// answer exactly as single queries do. A fresh engine sweeps at each width
+// first, then searches once so every cost is measured; after that the
+// measured costs decide.
 func TestPackGroupSweepsOrSearchesByCost(t *testing.T) {
 	for _, est := range []string{packName, pack512Name} {
 		t.Run(est, func(t *testing.T) {
@@ -203,7 +203,10 @@ func TestPackGroupSweepsOrSearchesByCost(t *testing.T) {
 				r := batch.router
 				r.mu.Lock()
 				defer r.mu.Unlock()
-				return r.sweeps[est].n, r.searches[est].n
+				for _, w := range sweepWidths {
+					sweeps += r.sweeps[w].n
+				}
+				return sweeps, r.search.n
 			}
 			expect := func(step string, sweeps, searches int) {
 				t.Helper()
@@ -213,22 +216,26 @@ func TestPackGroupSweepsOrSearchesByCost(t *testing.T) {
 			}
 			check("unmeasured")
 			expect("unmeasured", 1, 0)
-			check("sweep measured")
-			expect("sweep measured", 1, 6)
+			check("one width measured")
+			expect("one width measured", 2, 0)
+			check("sweeps measured")
+			expect("sweeps measured", 2, 6)
 
 			setCosts := func(sweep, search float64) {
 				r := batch.router
 				r.mu.Lock()
-				r.sweeps[est] = latencyMean{secs: sweep, n: 10}
-				r.searches[est] = latencyMean{secs: search, n: 10}
+				for _, w := range sweepWidths {
+					r.sweeps[w] = latencyMean{secs: sweep, n: 10}
+				}
+				r.search = latencyMean{secs: search, n: 10}
 				r.mu.Unlock()
 			}
 			setCosts(1, 0.2) // six targets cost 1.2 sweeps
 			check("sweep cheaper")
-			expect("sweep cheaper", 11, 10)
+			expect("sweep cheaper", 21, 10)
 			setCosts(1, 0.1) // six targets cost 0.6 sweeps
 			check("search cheaper")
-			expect("search cheaper", 10, 16)
+			expect("search cheaper", 20, 16)
 		})
 	}
 }

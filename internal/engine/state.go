@@ -133,9 +133,9 @@ func indexHolders(cfg Config, g *uncertain.Graph) (*lazyIndex[*core.BFSIndex], *
 }
 
 // buildEpochState assembles one epoch's serving state over g: fresh
-// replica pools wired to the given index cells, a fresh overlay memo, and
-// fresh distance pools. cfg must already be normalized (newEngine does
-// that once).
+// replica pools wired to the given index cells (one pool serves every
+// configured pack name), a fresh overlay memo, and fresh distance pools.
+// cfg must already be normalized (newEngine does that once).
 func buildEpochState(cfg Config, g *uncertain.Graph, epoch uint64, srcEpoch []uint64, bfsIx *lazyIndex[*core.BFSIndex], ptIx *lazyIndex[*core.ProbTreeIndex]) (*epochState, error) {
 	st := &epochState{
 		epoch:    epoch,
@@ -147,9 +147,14 @@ func buildEpochState(cfg Config, g *uncertain.Graph, epoch uint64, srcEpoch []ui
 		bfsIx:    bfsIx,
 		ptIx:     ptIx,
 	}
+	var packPool *pool // the one pool every configured pack name shares
 	for _, name := range cfg.Estimators {
 		if _, dup := st.pools[name]; dup {
 			return nil, fmt.Errorf("engine: estimator %q configured twice", name)
+		}
+		if packLike(name) && packPool != nil {
+			st.pools[name] = packPool
+			continue
 		}
 		factory, err := factoryFor(name, g, replicaSeed(cfg.Seed, name), cfg.Workers, bfsIx, ptIx)
 		if err != nil {
@@ -160,6 +165,9 @@ func buildEpochState(cfg Config, g *uncertain.Graph, epoch uint64, srcEpoch []ui
 			capacity = 1
 		}
 		st.pools[name] = newPool(capacity, factory)
+		if packLike(name) {
+			packPool = st.pools[name]
+		}
 	}
 	return st, nil
 }

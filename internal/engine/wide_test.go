@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -173,5 +174,121 @@ func TestWideConcurrentMatchesSequential(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatalf("concurrent result diverged or failed: %s", msg)
+	}
+}
+
+// TestRouterSweepWidthByCost pins the width choice: an unmeasured width
+// runs first, then the width with the lower cost per sample; searchEach
+// weighs n searches, by searchMargin, against the cheaper of the two
+// sweep rows.
+func TestRouterSweepWidthByCost(t *testing.T) {
+	r := newRouter([]string{"MC"}, 0, 16)
+	if r.searchEach(100) {
+		t.Fatal("searchEach before any sweep is measured: want a sweep")
+	}
+	for _, want := range sweepWidths {
+		if got := r.sweepWidth(); got != want {
+			t.Fatalf("unmeasured: sweep width %d, want %d", got, want)
+		}
+		if r.searchEach(100) {
+			t.Fatalf("searchEach with %d lanes unmeasured: want a sweep", want)
+		}
+		r.observeSweep(want, 256e-6/float64(want)) // 64 lanes 4µs, 256 lanes 1µs
+	}
+	if got := r.sweepWidth(); got != 256 {
+		t.Fatalf("256 lanes cost 1µs per sample, 64 lanes 4µs: sweep width %d", got)
+	}
+	r.observeSweep(256, 9e-6) // 256's mean is now 5µs
+	if got := r.sweepWidth(); got != 64 {
+		t.Fatalf("64 lanes cost 4µs per sample, 256 lanes 5µs: sweep width %d", got)
+	}
+	if !r.searchEach(100) {
+		t.Fatal("searchEach with a sweep and no search measured: want a search")
+	}
+	r.observeSearch(1e-6)
+	// Against the cheaper sweep (4µs), three searches (3µs) win and four
+	// (4µs) do not; against the dearer one (5µs) four would.
+	for _, c := range []struct {
+		n    int
+		want bool
+	}{{3, true}, {4, false}, {5, false}} {
+		if got := r.searchEach(c.n); got != c.want {
+			t.Errorf("searchEach(%d) = %v, want %v", c.n, got, c.want)
+		}
+	}
+	// Ten searches must undercut the 4µs sweep by searchMargin: at 0.35µs
+	// each (3.5µs) the group still sweeps, at 0.3µs (3µs) it searches.
+	for _, c := range []struct {
+		secs float64
+		want bool
+	}{{0.35e-6, false}, {0.3e-6, true}} {
+		r.search = latencyMean{secs: c.secs, n: 10}
+		if got := r.searchEach(10); got != c.want {
+			t.Errorf("searchEach(10) at %gs per search = %v, want %v", c.secs, got, c.want)
+		}
+	}
+}
+
+// TestPackNamesShareOneReplica: the three pack names run on one pool, so
+// a 1-worker engine serving all three builds exactly one replica; and a
+// source group answers identically at either sweep width.
+func TestPackNamesShareOneReplica(t *testing.T) {
+	names := []string{packName, pack256Name, pack512Name}
+	e := testEngine(t, Config{Workers: 1, MaxK: 300, Seed: 11, CacheSize: 0, Estimators: names})
+	ctx := context.Background()
+	group := func(name string) []Query {
+		var qs []Query
+		for d := 1; d < 7; d++ {
+			qs = append(qs, Query{S: 0, T: uncertain.NodeID(d), K: 200, Estimator: name})
+		}
+		return qs
+	}
+	for _, res := range append([]Response{
+		e.Estimate(ctx, Query{S: 0, T: 5, K: 200, Estimator: pack512Name}),
+		e.Estimate(ctx, Query{S: 1, T: 6, K: 200, Estimator: packName}),
+	}, e.EstimateBatch(ctx, group(pack256Name))...) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	st := e.state.Load()
+	for _, name := range names {
+		if got := e.Stats().Estimators[name].PoolReplicas; got != 1 {
+			t.Errorf("%s: %d pool replicas, want 1", name, got)
+		}
+		if st.pools[name] != st.pools[packName] {
+			t.Errorf("%s has a pool of its own", name)
+		}
+	}
+
+	// Force each width in turn: costs that make it the cheaper sweep, and
+	// a search dear enough that the group sweeps.
+	var got [][]float64
+	for _, lanes := range sweepWidths {
+		r := e.router
+		r.mu.Lock()
+		for _, w := range sweepWidths {
+			cost := 2.0
+			if w == lanes {
+				cost = 1
+			}
+			r.sweeps[w] = latencyMean{secs: cost, n: 1}
+		}
+		r.search = latencyMean{secs: 100, n: 1}
+		r.mu.Unlock()
+		var vals []float64
+		for _, res := range e.EstimateBatch(ctx, group(pack512Name)) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			vals = append(vals, res.Reliability)
+		}
+		if n := r.sweeps[lanes].n; n != 2 {
+			t.Fatalf("forced %d lanes: that width has %d sweeps measured, want 2", lanes, n)
+		}
+		got = append(got, vals)
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("64-lane group %v != 256-lane group %v", got[0], got[1])
 	}
 }

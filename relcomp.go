@@ -121,14 +121,13 @@ func NewParallelPackMC(g *Graph, seed uint64, workers int) Estimator {
 	return core.NewParallelPackMC(g, seed, workers)
 }
 
-// NewWidePackMC returns the wide-lane world-packed estimator, named for
-// lanes (256 or 512). Its source sweeps (single-source and top-k queries)
-// run 256 worlds per traversal as an unrolled lane group at either width,
-// with fused multi-word mask draws (AVX-512 accelerated where available),
-// a dense bitmap sweep for saturated frontiers, and arena-recycled
-// scratch; its s-t queries run NewPackMC's 64-lane bidirectional search.
-// Its estimates are bit-identical to NewPackMC's repeated 64-world packs
-// with the same seed at every width.
+// NewWidePackMC returns NewPackMC under the name PackMC256 or PackMC512
+// (lanes must be 256 or 512). Its source sweeps (single-source and top-k
+// queries) run 256 worlds per traversal as an unrolled lane group at
+// either width, with fused multi-word mask draws (AVX-512 accelerated
+// where available) and a dense bitmap sweep for saturated frontiers; its
+// s-t queries run NewPackMC's 64-lane bidirectional search. Its estimates
+// are bit-identical to NewPackMC's with the same seed.
 func NewWidePackMC(g *Graph, seed uint64, lanes int) Estimator {
 	return core.NewWidePackMC(g, seed, lanes)
 }
