@@ -1,6 +1,7 @@
-// Command relserver serves s-t reliability queries over a fixed uncertain
-// graph as a JSON HTTP API, backed by the concurrent batch query engine.
-// See server.go for the endpoint list.
+// Command relserver serves s-t reliability queries over an uncertain
+// graph as a JSON HTTP API, backed by the concurrent batch query engine;
+// POST /v1/mutate edits the graph it serves. See server.go for the
+// endpoint list.
 //
 // Example:
 //
@@ -66,10 +67,7 @@ func main() {
 		SoftMemBytes:       *softMemMB << 20,
 	}
 
-	var (
-		g   *relcomp.Graph
-		srv *server
-	)
+	var srv *server
 	if *snapPath != "" {
 		// A snapshot carries its own graph, seed, and MaxK; flags that
 		// would contradict it are rejected rather than silently ignored.
@@ -93,15 +91,17 @@ func main() {
 			log.Fatal(err)
 		}
 		defer snap.Close()
-		g = snap.Graph
-		srv = newServer(g, eng)
+		srv = newServer(eng)
 		if err := attachSidecar(srv, *snapPath); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("relserver: snapshot %s loaded in %s (mapped=%v, %d bytes, epoch %d)",
 			*snapPath, time.Since(start).Round(time.Millisecond), snap.Mapped(), snap.SizeBytes(), eng.Epoch())
 	} else {
-		var err error
+		var (
+			g   *relcomp.Graph
+			err error
+		)
 		if *graphFile != "" {
 			g, err = relcomp.ReadGraphFile(*graphFile)
 		} else {
@@ -133,6 +133,7 @@ func main() {
 		MaxHeaderBytes:    1 << 20,
 	}
 
+	g := srv.engine.Graph()
 	fmt.Printf("relserver: serving %s (%d nodes, %d edges) on %s\n",
 		g.Name(), g.NumNodes(), g.NumEdges(), *addr)
 

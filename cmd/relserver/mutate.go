@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"time"
 
 	"relcomp"
@@ -18,7 +19,8 @@ import (
 //	     Admission-controlled like query traffic: an overloaded engine
 //	     sheds the batch with 429/503 + Retry-After rather than queueing
 //	     unbounded mutation work.
-//	GET  /v1/subscribe?s=0&t=5&k=1000[&estimator=MC&eps=0.01&heartbeat_ms=15000]
+//	GET  /v1/subscribe?s=0&t=5&k=1000[&estimator=MC&eps=0.01&deadline_ms=50&heartbeat_ms=15000]
+//	     the query parameters of /v1/reliability, plus heartbeat_ms;
 //	     a Server-Sent Events stream: one "estimate" event immediately,
 //	     then one per committed batch that could change the answer.
 //	     Heartbeat comments keep proxies from idling the stream out; a
@@ -48,16 +50,17 @@ type mutateRequest struct {
 }
 
 func (s *server) buildMutations(in []mutationJSON) ([]relcomp.Mutation, error) {
+	g := s.engine.Graph()
 	muts := make([]relcomp.Mutation, len(in))
 	for i, m := range in {
 		op, err := relcomp.ParseMutationOp(m.Op)
 		if err != nil {
 			return nil, fmt.Errorf("mutation %d: %v", i, err)
 		}
-		if err := s.checkNode("from", m.From); err != nil {
+		if err := checkNode(g, "from", m.From); err != nil {
 			return nil, fmt.Errorf("mutation %d: %v", i, err)
 		}
-		if err := s.checkNode("to", m.To); err != nil {
+		if err := checkNode(g, "to", m.To); err != nil {
 			return nil, fmt.Errorf("mutation %d: %v", i, err)
 		}
 		muts[i] = relcomp.Mutation{Op: op, From: relcomp.NodeID(m.From), To: relcomp.NodeID(m.To)}
@@ -141,28 +144,21 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 // handleSubscribe is the SSE continuous-query endpoint.
 func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	src, err := s.nodeParam(r, "s")
+	vals := r.URL.Query()
+	var q queryJSON
+	err := queryParams(vals, relcomp.KindReliability, &q)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	dst, err := s.nodeParam(r, "t")
+	req, err := s.buildRequest(q, nil, nil)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	eps, err := epsParam(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	k, err := s.samplesParam(r, eps > 0)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	heartbeatMs, err := intParamDefault(r, "heartbeat_ms", int(defaultHeartbeat/time.Millisecond))
-	if err != nil || heartbeatMs <= 0 {
+	ms := int(defaultHeartbeat / time.Millisecond)
+	heartbeatMs := &ms
+	if err := optionalParam(vals, "heartbeat_ms", strconv.Atoi, &heartbeatMs); err != nil || *heartbeatMs <= 0 {
 		badRequest(w, "parameter \"heartbeat_ms\" must be a positive integer")
 		return
 	}
@@ -172,11 +168,7 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sub, err := s.engine.Subscribe(r.Context(), relcomp.Query{
-		S: src, T: dst, K: k,
-		Estimator: r.URL.Query().Get("estimator"),
-		Eps:       eps,
-	})
+	sub, err := s.engine.Subscribe(r.Context(), req)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -189,7 +181,7 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	heartbeat := time.NewTicker(time.Duration(heartbeatMs) * time.Millisecond)
+	heartbeat := time.NewTicker(time.Duration(*heartbeatMs) * time.Millisecond)
 	defer heartbeat.Stop()
 	for {
 		select {

@@ -29,7 +29,7 @@ func outEdge(t *testing.T, g *relcomp.Graph, s int) relcomp.Edge {
 func TestMutateEndpoint(t *testing.T) {
 	srv := testServer(t)
 	h := srv.handler()
-	e := outEdge(t, srv.graph, 0)
+	e := outEdge(t, srv.engine.Graph(), 0)
 
 	q := "/v1/reliability?s=0&t=5&k=200&estimator=MC"
 	code, before := get(t, h, q)
@@ -79,8 +79,8 @@ func TestMutateEndpoint(t *testing.T) {
 func TestMutateValidation(t *testing.T) {
 	srv := testServer(t)
 	h := srv.handler()
-	e := outEdge(t, srv.graph, 0)
-	n := srv.graph.NumNodes()
+	e := outEdge(t, srv.engine.Graph(), 0)
+	n := srv.engine.Graph().NumNodes()
 
 	for name, body := range map[string]string{
 		"empty batch":   `{"mutations":[]}`,
@@ -195,7 +195,7 @@ func TestSubscribeSSE(t *testing.T) {
 
 	// An update on an out-edge of the subscribed source triggers exactly
 	// one re-estimate at the new epoch.
-	e := outEdge(t, srv.graph, 0)
+	e := outEdge(t, srv.engine.Graph(), 0)
 	body := fmt.Sprintf(`{"mutations":[{"op":"update","from":%d,"to":%d,"p":%g}]}`, e.From, e.To, 0.5*e.P)
 	mresp, err := http.Post(ts.URL+"/v1/mutate", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -225,6 +225,61 @@ func TestSubscribeSSE(t *testing.T) {
 		case <-deadline:
 			t.Fatal("no heartbeat within 10s at heartbeat_ms=50")
 		}
+	}
+}
+
+// TestSubscribeQueryParams: /v1/subscribe reads the query parameters of
+// /v1/reliability, deadline_ms included, and rejects what it rejects.
+func TestSubscribeQueryParams(t *testing.T) {
+	ts := httptest.NewServer(testServer(t).handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: 30 * time.Second}
+	for _, q := range []string{"s=0", "s=0&t=3&k=0", "s=0&t=3&k=501", "s=0&t=3&eps=1.5", "s=0&t=3&deadline_ms=-4", "s=0&t=3&heartbeat_ms=0"} {
+		resp, err := client.Get(ts.URL + "/v1/subscribe?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("subscribe?%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+	// A deadline makes the estimate anytime, as on /v1/reliability: it
+	// reports why sampling stopped.
+	resp, err := client.Get(ts.URL + "/v1/subscribe?s=0&t=5&k=200&estimator=MC&deadline_ms=60000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe: status %d", resp.StatusCode)
+	}
+	if first := nextEstimate(t, sseReader(t, bufio.NewReader(resp.Body))); first["stop_reason"] == nil {
+		t.Errorf("deadline subscription answered without a stop reason: %v", first)
+	}
+}
+
+// TestEndpointsSeeCommittedMutations: after a committed batch adds an
+// edge, every endpoint serves the mutated graph — its edge count, its
+// bounds, and its new edge id as evidence.
+func TestEndpointsSeeCommittedMutations(t *testing.T) {
+	srv := testServer(t)
+	h := srv.handler()
+	edges := srv.engine.Graph().NumEdges()
+	if code, out := post(t, h, "/v1/mutate", `{"mutations":[{"op":"add","from":0,"to":5,"p":0.9}]}`); code != http.StatusOK {
+		t.Fatalf("mutate: status %d body %v", code, out)
+	}
+	if _, g := get(t, h, "/v1/graph"); int(g["edges"].(float64)) != edges+1 {
+		t.Errorf("/v1/graph reports %v edges after adding one to %d", g["edges"], edges)
+	}
+	_, b := get(t, h, "/v1/bounds?s=0&t=5")
+	_, mc := post(t, h, "/v1/query", `{"s":0,"t":5,"k":500,"estimator":"MC"}`)
+	if lo, hi, r := b["lower"].(float64), b["upper"].(float64), mc["reliability"].(float64); lo < 0.9 || hi < r {
+		t.Errorf("bounds [%v, %v] after adding 0->5 at p=0.9; MC answers %v", lo, hi, r)
+	}
+	body := fmt.Sprintf(`{"s":0,"t":5,"k":200,"estimator":"MC","evidence":{"include":[%d]}}`, edges)
+	if code, out := post(t, h, "/v1/query", body); code != http.StatusOK || out["reliability"] != 1.0 {
+		t.Errorf("evidence on the added edge %d: status %d body %v, want reliability 1", edges, code, out)
 	}
 }
 
@@ -258,7 +313,7 @@ func TestSidecarPersistAndReplay(t *testing.T) {
 			snap.Close()
 			t.Fatal(err)
 		}
-		s := newServer(snap.Graph, eng)
+		s := newServer(eng)
 		if err := attachSidecar(s, path); err != nil {
 			snap.Close()
 			t.Fatal(err)
@@ -333,7 +388,7 @@ func TestSidecarChainMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := attachSidecar(newServer(snap.Graph, eng), path); err == nil ||
+	if err := attachSidecar(newServer(eng), path); err == nil ||
 		!strings.Contains(err.Error(), "chain") {
 		t.Fatalf("non-chaining sidecar accepted (err=%v)", err)
 	}

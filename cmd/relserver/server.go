@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -15,8 +16,8 @@ import (
 	"relcomp"
 )
 
-// server exposes reliability queries over a fixed uncertain graph as a
-// small JSON HTTP API:
+// server exposes reliability queries over an uncertain graph as a small
+// JSON HTTP API:
 //
 //	POST /v1/query                             the unified typed query endpoint:
 //	     {"kind":"reliability|distance|topk|single_source|kterminal",
@@ -31,16 +32,24 @@ import (
 //	GET  /v1/graph                             graph statistics
 //	GET  /v1/estimators                        available estimator names + query kinds
 //	GET  /v1/reliability?s=0&t=5&k=1000&estimator=RSS
-//	     (omit estimator= to let the engine route adaptively; add
-//	     eps=0.01 and/or deadline_ms=50 for anytime estimation — k
+//	     POST /v1/query with kind=reliability, its fields as query
+//	     parameters (omit estimator= to let the engine route adaptively;
+//	     add eps=0.01 and/or deadline_ms=50 for anytime estimation — k
 //	     becomes the sample cap, the default cap rises to the engine
 //	     maximum, and the response reports samples_used and stop_reason)
-//	GET  /v1/estimate                          alias of /v1/reliability
+//	GET  /v1/topk?s=0&n=10&k=1000              POST /v1/query with kind=topk; n is topk (default 10)
 //	GET  /v1/bounds?s=0&t=5                    analytic bounds + best path
-//	GET  /v1/topk?s=0&n=10&k=1000              alias of /v1/query with kind=topk
 //	POST /v1/mutate                            commit a batch of edge mutations (see mutate.go)
 //	GET  /v1/subscribe?s=0&t=5                 SSE continuous query: re-estimates per relevant mutation batch
 //	GET  /v1/engine/stats                      engine counters (cache, routing, latency, anytime savings, kind mix, mutations)
+//
+// The GET query endpoints decode their query string into the body POST
+// /v1/query decodes (queryParams), and from there share its request
+// builder, validation and answer.
+//
+// Every endpoint reads the engine's current graph, so ids and counts
+// follow committed mutations. relserver never enables
+// DegreeRelabel, so the engine's ids are the caller's.
 //
 // All query traffic — every kind — goes through the concurrent batch
 // query engine (relcomp.Engine): per-estimator instance pools replace the
@@ -51,7 +60,6 @@ import (
 // into the engine, so a client disconnect cancels its queued and anytime
 // in-flight work.
 type server struct {
-	graph  *relcomp.Graph
 	engine *relcomp.Engine
 	// ready gates /readyz: true once serving, flipped false when the
 	// drain starts so load balancers stop routing before in-flight
@@ -83,11 +91,11 @@ func newServerWith(g *relcomp.Graph, cfg relcomp.EngineConfig) *server {
 		// a programming error, not an input error.
 		panic(err)
 	}
-	return newServer(g, eng)
+	return newServer(eng)
 }
 
-func newServer(g *relcomp.Graph, eng *relcomp.Engine) *server {
-	return &server{graph: g, engine: eng}
+func newServer(eng *relcomp.Engine) *server {
+	return &server{engine: eng}
 }
 
 func (s *server) handler() http.Handler {
@@ -95,10 +103,9 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/v1/graph", s.handleGraph)
 	mux.HandleFunc("/v1/estimators", s.handleEstimators)
 	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/v1/reliability", s.handleReliability)
-	mux.HandleFunc("/v1/estimate", s.handleReliability)
+	mux.HandleFunc("/v1/reliability", s.handleGet(relcomp.KindReliability))
 	mux.HandleFunc("/v1/bounds", s.handleBounds)
-	mux.HandleFunc("/v1/topk", s.handleTopK)
+	mux.HandleFunc("/v1/topk", s.handleGet(relcomp.KindTopK))
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/mutate", s.handleMutate)
 	mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
@@ -223,81 +230,86 @@ func writeEngineError(w http.ResponseWriter, err error) {
 	}
 }
 
-// intParam parses a required integer query parameter.
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
+// optionalParam parses the query parameter name into a new *dst, leaving
+// *dst as it is when the parameter is absent.
+func optionalParam[T any](vals url.Values, name string, parse func(string) (T, error), dst **T) error {
+	raw := vals.Get(name)
 	if raw == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
+		return nil
 	}
-	v, err := strconv.Atoi(raw)
+	v, err := parse(raw)
 	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
+		return fmt.Errorf("parameter %q: %v", name, err)
 	}
-	return v, nil
+	*dst = &v
+	return nil
 }
 
-// intParamDefault parses an optional integer query parameter.
-func intParamDefault(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return v, nil
-}
-
-// epsParam parses the optional anytime accuracy target: the relative 95%
-// CI half-width at which sampling stops. 0 (the default) keeps the exact
-// fixed budget.
-func epsParam(r *http.Request) (float64, error) {
-	raw := r.URL.Query().Get("eps")
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter \"eps\": %v", err)
-	}
-	if v < 0 || v >= 1 {
-		return 0, fmt.Errorf("parameter \"eps\": %v outside [0, 1)", v)
-	}
-	return v, nil
-}
-
-// deadlineParam parses the optional anytime latency target in
-// milliseconds; 0 (the default) means unbounded.
-func deadlineParam(r *http.Request) (time.Duration, error) {
-	ms, err := intParamDefault(r, "deadline_ms", 0)
-	if err != nil {
+// requiredInt parses a required integer query parameter.
+func requiredInt(vals url.Values, name string) (int, error) {
+	var v *int
+	if err := optionalParam(vals, name, strconv.Atoi, &v); err != nil {
 		return 0, err
 	}
-	if ms < 0 {
-		return 0, fmt.Errorf("parameter \"deadline_ms\": %d must not be negative", ms)
+	if v == nil {
+		return 0, fmt.Errorf("missing parameter %q", name)
 	}
-	return time.Duration(ms) * time.Millisecond, nil
+	return *v, nil
 }
 
-// checkNode validates a node id at int width, before any int32 NodeID
-// conversion could silently truncate huge values onto a valid node.
-func (s *server) checkNode(name string, v int) error {
-	if v < 0 || v >= s.graph.NumNodes() {
-		return fmt.Errorf("parameter %q: node %d out of range [0,%d)", name, v, s.graph.NumNodes())
+func parseFloat(raw string) (float64, error) { return strconv.ParseFloat(raw, 64) }
+
+// queryParams decodes a GET query endpoint's query string into q, the
+// wire query POST /v1/query decodes from its body, for the given kind.
+// s is required, and so is t when the kind reads it. k, estimator, eps
+// and deadline_ms are optional, as in the body; topk reads its ranking
+// size from n (default 10). Range checks are buildRequest's and the
+// engine's, as for a body.
+func queryParams(vals url.Values, kind relcomp.QueryKind, q *queryJSON) error {
+	*q = queryJSON{Kind: string(kind), Estimator: vals.Get("estimator")}
+	var err error
+	if q.S, err = requiredInt(vals, "s"); err != nil {
+		return err
+	}
+	if needsTarget(kind) {
+		if q.T, err = requiredInt(vals, "t"); err != nil {
+			return err
+		}
+	}
+	if kind == relcomp.KindTopK {
+		n := 10
+		topk := &n
+		if err := optionalParam(vals, "n", strconv.Atoi, &topk); err != nil {
+			return err
+		}
+		q.TopK = *topk
+	}
+	if err := optionalParam(vals, "k", strconv.Atoi, &q.K); err != nil {
+		return err
+	}
+	if err := optionalParam(vals, "eps", parseFloat, &q.Eps); err != nil {
+		return err
+	}
+	return optionalParam(vals, "deadline_ms", strconv.Atoi, &q.DeadlineMs)
+}
+
+// checkNode validates a node id of g at int width, before any int32
+// NodeID conversion could silently truncate huge values onto a valid
+// node.
+func checkNode(g *relcomp.Graph, name string, v int) error {
+	if v < 0 || v >= g.NumNodes() {
+		return fmt.Errorf("parameter %q: node %d out of range [0,%d)", name, v, g.NumNodes())
 	}
 	return nil
 }
 
-func (s *server) nodeParam(r *http.Request, name string) (relcomp.NodeID, error) {
-	v, err := intParam(r, name)
-	if err != nil {
-		return 0, err
+// checkEdge validates an edge id of g at int width, like checkNode for
+// nodes.
+func checkEdge(g *relcomp.Graph, name string, v int) error {
+	if v < 0 || v >= g.NumEdges() {
+		return fmt.Errorf("parameter %q: edge %d out of range [0,%d)", name, v, g.NumEdges())
 	}
-	if err := s.checkNode(name, v); err != nil {
-		return 0, err
-	}
-	return relcomp.NodeID(v), nil
+	return nil
 }
 
 // defaultK is the implicit sample budget when a request omits k, clamped
@@ -309,31 +321,13 @@ func (s *server) defaultK() int {
 	return 1000
 }
 
-// samplesParam parses the sample budget. Anytime requests (eps or
-// deadline_ms set) default the cap to the engine maximum — they pay only
-// for the samples their stopping rule needs, so the cap should be
-// generous — while fixed requests keep the conservative default.
-func (s *server) samplesParam(r *http.Request, anytime bool) (int, error) {
-	def := s.defaultK()
-	if anytime {
-		def = s.engine.MaxK()
-	}
-	k, err := intParamDefault(r, "k", def)
-	if err != nil {
-		return 0, err
-	}
-	if k <= 0 || k > s.engine.MaxK() {
-		return 0, fmt.Errorf("parameter \"k\": %d outside (0,%d]", k, s.engine.MaxK())
-	}
-	return k, nil
-}
-
 func (s *server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	sum := s.graph.ProbSummary()
+	g := s.engine.Graph()
+	sum := g.ProbSummary()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"name":         s.graph.Name(),
-		"nodes":        s.graph.NumNodes(),
-		"edges":        s.graph.NumEdges(),
+		"name":         g.Name(),
+		"nodes":        g.NumNodes(),
+		"edges":        g.NumEdges(),
 		"probMean":     sum.Mean,
 		"probStdDev":   sum.StdDev,
 		"probQuartile": []float64{sum.Q1, sum.Q2, sum.Q3},
@@ -444,14 +438,6 @@ type evidenceJSON struct {
 	Exclude []int `json:"exclude"`
 }
 
-// checkEdge validates an edge id at int width, like checkNode for nodes.
-func (s *server) checkEdge(name string, v int) error {
-	if v < 0 || v >= s.graph.NumEdges() {
-		return fmt.Errorf("parameter %q: edge %d out of range [0,%d)", name, v, s.graph.NumEdges())
-	}
-	return nil
-}
-
 // needsTarget reports whether the kind reads the T field.
 func needsTarget(kind relcomp.QueryKind) bool {
 	return kind == "" || kind == relcomp.KindReliability || kind == relcomp.KindDistance
@@ -464,37 +450,38 @@ func needsTarget(kind relcomp.QueryKind) bool {
 // itself (unknown kinds, negative d or k, missing targets) are left to
 // engine validation, whose errors the handlers surface as 400s.
 func (s *server) buildRequest(q queryJSON, defEps *float64, defDeadlineMs *int) (relcomp.Request, error) {
+	g := s.engine.Graph()
 	var req relcomp.Request
 	req.Kind = relcomp.QueryKind(q.Kind)
 	req.Estimator = q.Estimator
 	req.D = q.D
 	req.TopK = q.TopK
 
-	if err := s.checkNode("s", q.S); err != nil {
+	if err := checkNode(g, "s", q.S); err != nil {
 		return req, err
 	}
 	req.S = relcomp.NodeID(q.S)
 	if needsTarget(req.Kind) {
-		if err := s.checkNode("t", q.T); err != nil {
+		if err := checkNode(g, "t", q.T); err != nil {
 			return req, err
 		}
 		req.T = relcomp.NodeID(q.T)
 	}
 	for _, tgt := range q.Targets {
-		if err := s.checkNode("targets", tgt); err != nil {
+		if err := checkNode(g, "targets", tgt); err != nil {
 			return req, err
 		}
 		req.Targets = append(req.Targets, relcomp.NodeID(tgt))
 	}
 	if q.Evidence != nil {
 		for _, e := range q.Evidence.Include {
-			if err := s.checkEdge("evidence.include", e); err != nil {
+			if err := checkEdge(g, "evidence.include", e); err != nil {
 				return req, err
 			}
 			req.Evidence.Include = append(req.Evidence.Include, relcomp.EdgeID(e))
 		}
 		for _, e := range q.Evidence.Exclude {
-			if err := s.checkEdge("evidence.exclude", e); err != nil {
+			if err := checkEdge(g, "evidence.exclude", e); err != nil {
 				return req, err
 			}
 			req.Evidence.Exclude = append(req.Evidence.Exclude, relcomp.EdgeID(e))
@@ -508,7 +495,7 @@ func (s *server) buildRequest(q queryJSON, defEps *float64, defDeadlineMs *int) 
 	if q.Eps != nil {
 		eps = *q.Eps
 	}
-	if eps < 0 || eps >= 1 {
+	if !(eps >= 0 && eps < 1) { // NaN included
 		return req, fmt.Errorf("parameter \"eps\": %v outside [0, 1)", eps)
 	}
 	req.Eps = eps
@@ -524,9 +511,10 @@ func (s *server) buildRequest(q queryJSON, defEps *float64, defDeadlineMs *int) 
 	}
 	req.Deadline = time.Duration(deadlineMs) * time.Millisecond
 
-	// Anytime queries default their cap to the engine maximum, like the
-	// GET endpoints; an explicit k always wins (and an explicit k:0 is
-	// rejected by the engine, not silently defaulted).
+	// Anytime queries default their cap to the engine maximum: they pay
+	// only for the samples their stopping rule needs. An explicit k always
+	// wins (and an explicit k:0 is rejected by the engine, not silently
+	// defaulted).
 	k := s.defaultK()
 	if eps > 0 || deadlineMs > 0 {
 		k = s.engine.MaxK()
@@ -558,6 +546,27 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "invalid JSON body: %v", err)
 		return
 	}
+	s.answer(w, r, b)
+}
+
+// handleGet serves a GET query endpoint of the given kind: the query
+// string decodes into the body POST /v1/query would carry, which then
+// takes the same path.
+func (s *server) handleGet(kind relcomp.QueryKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		b := getWireBuf()
+		defer putWireBuf(b)
+		if err := queryParams(r.URL.Query(), kind, &b.q); err != nil {
+			badRequest(w, "%v", err)
+			return
+		}
+		s.answer(w, r, b)
+	}
+}
+
+// answer builds the engine Request from b.q, estimates it, and sends the
+// answer encoded through b.
+func (s *server) answer(w http.ResponseWriter, r *http.Request, b *wireBuf) {
 	req, err := s.buildRequest(b.q, nil, nil)
 	if err != nil {
 		badRequest(w, "%v", err)
@@ -570,53 +579,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	b.out = toJSON(res)
 	b.send(w, http.StatusOK, &b.out)
-}
-
-func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
-	src, err := s.nodeParam(r, "s")
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	dst, err := s.nodeParam(r, "t")
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	name := r.URL.Query().Get("estimator")
-	eps, err := epsParam(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	deadline, err := deadlineParam(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	var k int
-	if name == relcomp.EngineBoundsName {
-		// The bounds pseudo-estimator draws no samples; accept any k so
-		// the same query succeeds here and on /v1/batch.
-		k, err = intParamDefault(r, "k", s.defaultK())
-	} else {
-		k, err = s.samplesParam(r, eps > 0 || deadline > 0)
-	}
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	res := s.engine.Estimate(r.Context(), relcomp.Query{
-		S: src, T: dst, K: k,
-		Estimator: name,
-		Eps:       eps,
-		Deadline:  deadline,
-	})
-	if res.Err != nil {
-		writeEngineError(w, res.Err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toJSON(res))
 }
 
 // batchRequest is the POST /v1/batch body: a list of query objects in the
@@ -700,22 +662,26 @@ func (s *server) handleEngineStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleBounds(w http.ResponseWriter, r *http.Request) {
-	src, err := s.nodeParam(r, "s")
+	g := s.engine.Graph()
+	var ends [2]relcomp.NodeID
+	for i, name := range []string{"s", "t"} {
+		v, err := requiredInt(r.URL.Query(), name)
+		if err == nil {
+			err = checkNode(g, name, v)
+		}
+		if err != nil {
+			badRequest(w, "%v", err)
+			return
+		}
+		ends[i] = relcomp.NodeID(v)
+	}
+	src, dst := ends[0], ends[1]
+	lo, hi, err := relcomp.ReliabilityBounds(g, src, dst)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	dst, err := s.nodeParam(r, "t")
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	lo, hi, err := relcomp.ReliabilityBounds(s.graph, src, dst)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	path, err := relcomp.MostReliablePath(s.graph, src, dst)
+	path, err := relcomp.MostReliablePath(g, src, dst)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -728,45 +694,4 @@ func (s *server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		"bestPathProb":    path.Prob,
 		"samplingAdvised": hi-lo > s.engine.Stats().BoundsCutoff, // the router's own rule
 	})
-}
-
-// handleTopK is the GET alias of POST /v1/query with kind=topk: the same
-// engine Request, the same response shape, query parameters instead of a
-// body (s, n, k, and optionally estimator/eps/deadline_ms).
-func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	src, err := s.nodeParam(r, "s")
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	n, err := intParamDefault(r, "n", 10)
-	if err != nil || n <= 0 {
-		badRequest(w, "parameter \"n\" must be a positive integer")
-		return
-	}
-	eps, err := epsParam(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	deadline, err := deadlineParam(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	k, err := s.samplesParam(r, eps > 0 || deadline > 0)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	res := s.engine.Estimate(r.Context(), relcomp.Request{
-		Kind: relcomp.KindTopK, S: src, TopK: n, K: k,
-		Estimator: r.URL.Query().Get("estimator"),
-		Eps:       eps, Deadline: deadline,
-	})
-	if res.Err != nil {
-		writeEngineError(w, res.Err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toJSON(res))
 }

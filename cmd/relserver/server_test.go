@@ -65,14 +65,14 @@ func TestEstimatorsEndpoint(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	names := body["estimators"].([]interface{})
-	if len(names) < 7 { // six from the paper + ParallelMC
+	if len(names) < 7 { // six from the paper + the PackMC names
 		t.Errorf("only %d estimators: %v", len(names), names)
 	}
 }
 
 func TestReliabilityEndpoint(t *testing.T) {
 	h := testServer(t).handler()
-	for _, est := range []string{"MC", "RSS", "ProbTree", "LP+", "ParallelMC"} {
+	for _, est := range []string{"MC", "RSS", "ProbTree", "LP+", "PackMC512"} {
 		code, body := get(t, h, "/v1/reliability?s=0&t=5&k=200&estimator="+url.QueryEscape(est))
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d body %v", est, code, body)
@@ -590,7 +590,7 @@ func TestBatchMixedKinds(t *testing.T) {
 // short-range) pair stops well under the cap.
 func TestAnytimeReliability(t *testing.T) {
 	h := testServer(t).handler()
-	code, body := get(t, h, "/v1/estimate?s=0&t=5&eps=0.3&estimator=MC")
+	code, body := get(t, h, "/v1/reliability?s=0&t=5&eps=0.3&estimator=MC")
 	if code != http.StatusOK {
 		t.Fatalf("status %d body %v", code, body)
 	}
@@ -691,5 +691,73 @@ func TestAnytimeBatch(t *testing.T) {
 	}
 	if _, ok := stats["boundsMemo"].(map[string]interface{}); !ok {
 		t.Errorf("stats missing boundsMemo: %v", stats)
+	}
+}
+
+// TestGetMatchesPost: every GET query form answers exactly what POST
+// /v1/query answers for the same request, and rejects what it rejects.
+// Each form runs on its own server, in the same order, so routed queries
+// explore the same candidates on both.
+func TestGetMatchesPost(t *testing.T) {
+	getH, postH := testServer(t).handler(), testServer(t).handler()
+	same := []struct{ url, body string }{
+		{"/v1/reliability?s=0&t=5&k=200&estimator=MC", `{"s":0,"t":5,"k":200,"estimator":"MC"}`},
+		{"/v1/reliability?s=1&t=6&estimator=LP%2B", `{"kind":"reliability","s":1,"t":6,"estimator":"LP+"}`},
+		{"/v1/reliability?s=0&t=5&eps=0.2&estimator=PackMC", `{"s":0,"t":5,"eps":0.2,"estimator":"PackMC"}`},
+		{"/v1/reliability?s=0&t=6&k=300&deadline_ms=60000&estimator=RSS", `{"s":0,"t":6,"k":300,"deadline_ms":60000,"estimator":"RSS"}`},
+		{"/v1/reliability?s=2&t=7&k=200", `{"s":2,"t":7,"k":200}`},
+		{"/v1/reliability?s=2&t=8&eps=0.3", `{"s":2,"t":8,"eps":0.3}`},
+		{"/v1/reliability?s=0&t=5&estimator=bounds", `{"s":0,"t":5,"estimator":"bounds"}`},
+		{"/v1/reliability?s=0&t=5&k=0&estimator=bounds", `{"s":0,"t":5,"k":0,"estimator":"bounds"}`},
+		{"/v1/topk?s=0&k=200", `{"kind":"topk","s":0,"topk":10,"k":200}`},
+		{"/v1/topk?s=1&n=3&k=200&estimator=PackMC", `{"kind":"topk","s":1,"topk":3,"k":200,"estimator":"PackMC"}`},
+	}
+	for _, c := range same {
+		gc, gb := get(t, getH, c.url)
+		pc, pb := post(t, postH, "/v1/query", c.body)
+		if gc != http.StatusOK || pc != http.StatusOK {
+			t.Fatalf("%s: status %d, POST %s: status %d (%v / %v)", c.url, gc, c.body, pc, gb, pb)
+		}
+		for _, volatile := range []string{"timeMs", "cached"} {
+			delete(gb, volatile)
+			delete(pb, volatile)
+		}
+		if !reflect.DeepEqual(gb, pb) {
+			t.Errorf("%s answered\n%v\nPOST %s answered\n%v", c.url, gb, c.body, pb)
+		}
+	}
+
+	// The body form of each rejected input; "" where a JSON body has no
+	// such form (JSON has no NaN, and an omitted s or t decodes as node 0).
+	bad := []struct{ url, body string }{
+		{"/v1/reliability?s=0&t=3&k=0", `{"s":0,"t":3,"k":0}`},
+		{"/v1/reliability?s=0&t=3&k=501", `{"s":0,"t":3,"k":501}`},
+		{"/v1/reliability?s=0&t=3&eps=1.5", `{"s":0,"t":3,"eps":1.5}`},
+		{"/v1/reliability?s=0&t=3&eps=NaN", ""},
+		{"/v1/reliability?s=0&t=3&deadline_ms=-4", `{"s":0,"t":3,"deadline_ms":-4}`},
+		{"/v1/reliability?s=0&t=999999", `{"s":0,"t":999999}`},
+		{"/v1/reliability?s=-1&t=3", `{"s":-1,"t":3}`},
+		{"/v1/reliability?s=abc&t=3", `{"s":"abc","t":3}`},
+		{"/v1/reliability?s=0&t=3&estimator=bogus", `{"s":0,"t":3,"estimator":"bogus"}`},
+		{"/v1/topk?s=0&n=0", `{"kind":"topk","s":0,"topk":0}`},
+		{"/v1/topk?s=0&n=2&k=0", `{"kind":"topk","s":0,"topk":2,"k":0}`},
+		{"/v1/reliability?t=3", ""},
+		{"/v1/reliability?s=0", ""},
+		{"/v1/topk?n=3", ""},
+	}
+	rejected := func(code int, out map[string]interface{}) bool {
+		msg, _ := out["error"].(string)
+		return code == http.StatusBadRequest && msg != ""
+	}
+	for _, c := range bad {
+		if code, out := get(t, getH, c.url); !rejected(code, out) {
+			t.Errorf("%s: status %d body %v, want 400 with an error", c.url, code, out)
+		}
+		if c.body == "" {
+			continue
+		}
+		if code, out := post(t, postH, "/v1/query", c.body); !rejected(code, out) {
+			t.Errorf("POST %s: status %d body %v, want 400 with an error", c.body, code, out)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func TestServeFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngineFromSnapshot: %v", err)
 	}
-	fromSnap := newServer(snap.Graph, eng).handler()
+	fromSnap := newServer(eng).handler()
 	fromScratch := newServerWith(g, cfg).handler()
 
 	for _, q := range []string{

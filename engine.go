@@ -138,7 +138,8 @@ func NewEngine(g *Graph, cfg EngineConfig) (*Engine, error) {
 // DefaultEngineEstimators lists the estimators an engine builds when the
 // config leaves the set empty: the paper's six plus the word-packed
 // PackMC under its three names (PackMC, PackMC256, PackMC512, one replica
-// pool) and the multi-core ParallelMC / ParallelPackMC extensions.
+// pool). The multi-core NewParallelMC and NewParallelPackMC are
+// standalone estimators; the engine does not serve them.
 func DefaultEngineEstimators() []string { return engine.DefaultEstimators() }
 
 // BorrowEstimator runs fn with exclusive use of a pooled instance of the
@@ -146,8 +147,8 @@ func DefaultEngineEstimators() []string { return engine.DefaultEstimators() }
 // single-source) that need a concrete estimator rather than one Estimate
 // call. The instance is reseeded at borrow time, so results depend only
 // on the engine seed, not on earlier traffic. fn must not call back into
-// the engine for the same estimator — on a single-replica pool that
-// blocks forever.
+// the engine for the same estimator — at Workers = 1 that blocks
+// forever.
 func BorrowEstimator(e *Engine, name string, fn func(Estimator) error) error {
 	return e.Do(name, fn)
 }

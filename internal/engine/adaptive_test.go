@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -221,6 +222,7 @@ func TestAnytimeValidation(t *testing.T) {
 	for _, q := range []Query{
 		{S: 0, T: 5, K: 100, Eps: -0.1},
 		{S: 0, T: 5, K: 100, Eps: 1},
+		{S: 0, T: 5, K: 100, Eps: math.NaN()},
 		{S: 0, T: 5, K: 100, Deadline: -time.Second},
 	} {
 		if res := e.Estimate(ctx, q); res.Err == nil {

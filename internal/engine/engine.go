@@ -19,8 +19,10 @@
 // workers. It combines five mechanisms:
 //
 //   - Estimator pooling: per-estimator pools of replica instances (same
-//     graph, same seed) hand every worker an exclusive instance, so
-//     concurrent queries never contend on scratch state (pool.go). The
+//     graph, same seed), each Workers deep, hand every worker an
+//     exclusive instance, so concurrent queries never contend on scratch
+//     state (pool.go). Parallelism is across queries, never inside one:
+//     every replica samples on its caller's goroutine. The
 //     index-based estimators share one immutable offline index per
 //     estimator kind; replicas are cheap online-scratch handles over it,
 //     so index memory is O(index), not O(Workers × index), and only the
@@ -83,38 +85,29 @@ import (
 const BoundsName = "bounds"
 
 // DefaultEstimators lists the estimators an engine builds when Config
-// leaves the set empty: the paper's six, in table order, plus the
-// word-packed PackMC under its three names (PackMC, PackMC256,
-// PackMC512) and the multi-core ParallelMC / ParallelPackMC extensions.
-// The pack names share one replica pool and differ only in the stream
-// seed a query draws: every source sweep runs at the width measured
-// cheaper, whatever the name. Of the three, only PackMC is routed.
+// leaves the set empty, and also every name it can build: the paper's
+// six, in table order, plus the word-packed PackMC under its three names
+// (PackMC, PackMC256, PackMC512). The pack names share one replica pool
+// and differ only in the stream seed a query draws: every source sweep
+// runs at the width measured cheaper, whatever the name. Of the three,
+// only PackMC is routed. The multi-core ParallelMC and ParallelPackMC
+// are not served: the engine parallelizes across queries, Workers
+// replicas deep, not inside one.
 func DefaultEstimators() []string {
-	return []string{"MC", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS", "PackMC", "PackMC256", "PackMC512", "ParallelMC", "ParallelPackMC"}
-}
-
-// internallyParallel reports whether the named estimator fans its sample
-// budget out over its own goroutines per Estimate. Such pools are capped
-// at one replica — pooling them Workers-deep would run up to
-// Workers x GOMAXPROCS CPU-bound samplers at once — and excluded from
-// adaptive routing.
-func internallyParallel(name string) bool {
-	return name == "ParallelMC" || name == "ParallelPackMC"
+	return []string{"MC", "BFSSharing", "ProbTree", "LP+", "RHH", "RSS", "PackMC", "PackMC256", "PackMC512"}
 }
 
 // Config configures an Engine.
 type Config struct {
 	// Workers bounds the number of concurrently processed batch groups
-	// and the replica count of every estimator pool. <= 0 means
-	// GOMAXPROCS.
+	// and is the replica count of every estimator pool. It changes no
+	// answer. <= 0 means GOMAXPROCS.
 	Workers int
 	// MaxK caps the per-query sample budget and sizes the BFS Sharing
 	// index width. <= 0 means 2000 (the paper's safe L bound is 1500).
 	MaxK int
 	// Seed drives every estimator replica and per-query reseed; engines
-	// with equal configs return identical results. (ParallelMC shards
-	// its sample budget over Workers goroutines, so its values — unlike
-	// every other estimator's — also change if Workers changes.)
+	// with equal configs, Workers aside, return identical results.
 	Seed uint64
 	// CacheSize bounds the LRU result cache; <= 0 disables caching.
 	CacheSize int
@@ -311,33 +304,22 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 	if memoSize < 1024 {
 		memoSize = 1024
 	}
-	// Pools capped below the worker count (ParallelMC) are excluded from
-	// routing: steering adaptive traffic at a single-replica pool would
-	// serialize concurrent queries behind one instance — exactly the
-	// bottleneck the engine exists to remove. They stay reachable by
-	// explicit request. Names that share a pool (the pack names) cost the
-	// same, so only the first configured one is a candidate.
+	// Names that share a pool (the pack names) cost the same, so only the
+	// first configured one is a routing candidate.
 	var candidates []string
 	seen := make(map[*pool]bool, len(e.names))
 	for _, name := range e.names {
-		p := st.pools[name]
-		if p.capacity < cfg.Workers || seen[p] {
-			continue
+		if p := st.pools[name]; !seen[p] {
+			seen[p] = true
+			candidates = append(candidates, name)
 		}
-		seen[p] = true
-		candidates = append(candidates, name)
-	}
-	if len(candidates) == 0 {
-		candidates = e.names
 	}
 	e.router = newRouter(candidates, cfg.BoundsCutoff, memoSize)
 	e.adm = newAdmission(cfg.Admission)
 	return e, nil
 }
 
-// factoryFor maps an estimator name to its replica constructor. workers
-// sizes ParallelMC's internal fan-out, pinning its (otherwise
-// GOMAXPROCS-dependent) sample sharding to the engine config.
+// factoryFor maps an estimator name to its replica constructor.
 //
 // The index-based estimators share the epoch's lazy index cells (see
 // state.go): the immutable offline index is built exactly once per
@@ -348,7 +330,7 @@ func newEngine(g *uncertain.Graph, cfg Config, relab *relabelMap) (*Engine, erro
 // borrow pays build latency; all later replicas construct in near-zero
 // time. A preloaded index (validated by New) resolves the cell up front,
 // so the first borrow costs nothing.
-func factoryFor(name string, g *uncertain.Graph, seed uint64, workers int, bfsIx *lazyIndex[*core.BFSIndex], ptIx *lazyIndex[*core.ProbTreeIndex]) (func() core.Estimator, error) {
+func factoryFor(name string, g *uncertain.Graph, seed uint64, bfsIx *lazyIndex[*core.BFSIndex], ptIx *lazyIndex[*core.ProbTreeIndex]) (func() core.Estimator, error) {
 	switch name {
 	case "MC":
 		return func() core.Estimator { return core.NewMC(g, seed) }, nil
@@ -364,10 +346,6 @@ func factoryFor(name string, g *uncertain.Graph, seed uint64, workers int, bfsIx
 		return func() core.Estimator { return core.NewRSS(g, seed) }, nil
 	case packName, pack256Name, pack512Name:
 		return func() core.Estimator { return core.NewPackMC(g, seed) }, nil
-	case "ParallelMC":
-		return func() core.Estimator { return core.NewParallelMC(g, seed, workers) }, nil
-	case "ParallelPackMC":
-		return func() core.Estimator { return core.NewParallelPackMC(g, seed, workers) }, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown estimator %q", name)
 	}
@@ -428,7 +406,7 @@ func (e *Engine) validate(st *epochState, q Request) error {
 	if err := validateEvidence(st.g, q.Evidence); err != nil {
 		return err
 	}
-	if q.Eps < 0 || q.Eps >= 1 {
+	if !(q.Eps >= 0 && q.Eps < 1) { // NaN included
 		return fmt.Errorf("engine: accuracy target eps %v outside [0, 1)", q.Eps)
 	}
 	if q.Deadline < 0 {
@@ -1097,21 +1075,13 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 		kept++
 	}
 	shared.order, shared.groups = shared.order[:kept], shared.groups[:kept]
-	// Units of single-instance pools (ParallelMC) run last: placed
-	// earlier they would pile all workers up blocked on the one replica
-	// while runnable units wait in the queue.
-	var free, constrained []workUnit
+	var units []workUnit
 	addUnits := func(g *orderedGroups[groupKey], shape unitShape) {
 		for j, gk := range g.order {
-			u := workUnit{
+			units = append(units, workUnit{
 				est: gk.key.est, s: gk.key.s, k: gk.key.k,
 				eps: gk.key.eps, deadline: gk.deadline, idxs: g.groups[j], shape: shape,
-			}
-			if p := st.pool(u.est); p != nil && p.capacity == 1 {
-				constrained = append(constrained, u)
-			} else {
-				free = append(free, u)
-			}
+			})
 		}
 	}
 	addUnits(&single, perQuery)
@@ -1122,7 +1092,6 @@ func (e *Engine) run(ctx context.Context, queries []Query) []Result {
 	// Non-plain kind units parallelize like any other; their estimator
 	// pools (BFS Sharing, PackMC, per-d distance) are Workers-deep.
 	addUnits(&kinds, kindRequest)
-	units := append(free, constrained...)
 
 	e.forEachParallel(len(units), func(j int) {
 		u := units[j]
@@ -1394,8 +1363,8 @@ func (e *Engine) sweep(ss core.SourceSampler, run func(core.SourceSampler) int) 
 // the plan.
 //
 // fn must not call back into the engine for the same estimator: it holds
-// one of a bounded pool of replicas, and on a single-replica pool
-// (Workers = 1, or ParallelMC) a re-entrant borrow blocks forever.
+// one of the pool's Workers replicas, and at Workers = 1 a re-entrant
+// borrow blocks forever.
 func (e *Engine) Do(name string, fn func(core.Estimator) error) error {
 	p := e.state.Load().pool(name)
 	if p == nil {

@@ -333,6 +333,23 @@ func TestRouterRoutesOnePackWidth(t *testing.T) {
 	}
 }
 
+// TestEngineServesNoParallelEstimators: the multi-core estimators are
+// not engine names, and with them gone every pool is Workers deep, so the
+// routing candidates no longer depend on the worker count.
+func TestEngineServesNoParallelEstimators(t *testing.T) {
+	for _, name := range []string{"ParallelMC", "ParallelPackMC"} {
+		_, err := New(testGraph(t), Config{Workers: 2, MaxK: 300, Estimators: []string{name}})
+		if err == nil || !strings.Contains(err.Error(), "unknown estimator") {
+			t.Errorf("New with %s: err %v, want unknown estimator", name, err)
+		}
+	}
+	one := testEngine(t, Config{Workers: 1, MaxK: 300, Seed: 42})
+	four := testEngine(t, Config{Workers: 4, MaxK: 300, Seed: 42})
+	if !reflect.DeepEqual(one.router.candidates, four.router.candidates) {
+		t.Errorf("routing candidates at Workers 1 %v, at Workers 4 %v", one.router.candidates, four.router.candidates)
+	}
+}
+
 // TestRouterLatencyDoesNotFlip: a few costly queries must not lift a
 // well-measured cheap estimator above a dearer one's stale estimate (a
 // 5-query-deep EWMA put MC at 2.95 ms here and routed to LP+), yet the

@@ -156,15 +156,11 @@ func buildEpochState(cfg Config, g *uncertain.Graph, epoch uint64, srcEpoch []ui
 			st.pools[name] = packPool
 			continue
 		}
-		factory, err := factoryFor(name, g, replicaSeed(cfg.Seed, name), cfg.Workers, bfsIx, ptIx)
+		factory, err := factoryFor(name, g, replicaSeed(cfg.Seed, name), bfsIx, ptIx)
 		if err != nil {
 			return nil, err
 		}
-		capacity := cfg.Workers
-		if internallyParallel(name) {
-			capacity = 1
-		}
-		st.pools[name] = newPool(capacity, factory)
+		st.pools[name] = newPool(cfg.Workers, factory)
 		if packLike(name) {
 			packPool = st.pools[name]
 		}

@@ -17,7 +17,7 @@ import (
 // never share arena scratch (each replica owns its arena; two concurrent
 // borrowers touching one arena would corrupt both queries' counts).
 
-var wideNames = []string{"PackMC", "PackMC256", "PackMC512", "ParallelPackMC"}
+var wideNames = []string{"PackMC", "PackMC256", "PackMC512"}
 
 // TestWideAnytimeBatchMatchesSingle: anytime batches over the wide
 // kernels (grouped lockstep path) return exactly what sequential anytime
